@@ -41,7 +41,18 @@ class InsufficientDataError(GdakitError):
 
 
 class DivergenceError(GdakitError):
-    """A probe or run blew past the divergence guard."""
+    """A probe or run blew past the divergence guard.
+
+    A run's error also names the diverged seed and step (seed, k) and
+    carries the trace records that seed logged before k, so the caller can
+    write the partial trace.
+    """
+
+    def __init__(self, message: str, *, seed=None, k=None, records=()):
+        super().__init__(message)
+        self.seed = seed
+        self.k = k
+        self.records = list(records)
 
 
 def as_vec(values, *, what: str = "vector") -> np.ndarray:

@@ -2,15 +2,14 @@
 
 Each takes an already-loaded config dict plus an output directory, writes
 its artifacts there (every file carries the canonical config hash), and
-returns the summary payload it wrote. Seeds fan out across threads; all
-problem objects are read-only after construction so sharing one instance
-across seeded runs is safe.
+returns the summary payload it wrote. The seeds of a command step together
+as one batch of chains (optimizers.run_chains), each on its own stream, so
+a seed's outputs do not depend on which other seeds share the command.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -18,14 +17,10 @@ import numpy as np
 from gdakit import __version__
 from gdakit.core import DivergenceError, GdakitError, RngStream
 from gdakit.diagnostics import LYAPUNOV_C, lyapunov
-from gdakit.optimizers import (
-    DiagConfig,
-    SgdMax,
-    evals_per_step,
-    init_state,
-    rsgda_step,
-    run,
-)
+from gdakit.optimizers import DiagConfig, evals_per_step, init_state, rsgda_step
+
+# bound as `run`: bench/tracer.py times the run loop by wrapping commands.run
+from gdakit.optimizers import run_chains as run
 from gdakit.problems import Problem, check_oracle
 from gdakit.schedules import AdaPSchedule, optimal_p, p_max
 from gdakit.harness.config import (
@@ -70,14 +65,6 @@ def _aggregate(summaries: list[dict], keys=_AGG_KEYS) -> dict:
     return agg
 
 
-def _fan_out(fn, seeds: list[int]):
-    """Run fn(seed) for each seed on a thread pool, results in seed order."""
-    if len(seeds) == 1:
-        return [fn(seeds[0])]
-    with ThreadPoolExecutor(max_workers=min(8, len(seeds))) as ex:
-        return list(ex.map(fn, seeds))
-
-
 def cmd_run(
     cfg: dict,
     out_dir,
@@ -97,22 +84,21 @@ def cmd_run(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def one(seed: int):
-        rng = RngStream(seed, stream_id=0)
-        init = build_init(cfg.get("init"), problem, seed)
-        return run(
+    try:
+        results = run(
             problem,
             kind,
             plan,
-            init,
+            [build_init(cfg.get("init"), problem, seed) for seed in seeds],
             iters,
-            rng,
+            [RngStream(seed, stream_id=0) for seed in seeds],
             diag,
             waive_constraints=waive,
-            provenance={"base_seed": seed, "stream_id": 0},
         )
-
-    results = _fan_out(one, seeds)
+    except DivergenceError as exc:
+        # the partial trace shows how far the diverged seed got
+        write_trace_csv(out_dir / f"trace_seed{exc.seed}.csv", exc.records, config_hash=chash)
+        raise
 
     per_seed = {}
     for seed, res in zip(seeds, results):
@@ -151,7 +137,7 @@ def _compare_series(cfg: dict, constants):
         if not isinstance(entry, dict):
             raise ConfigError(f"series[{i}] must be an object")
         kind = build_optimizer(entry.get("optimizer"))
-        if isinstance(kind, SgdMax):
+        if evals_per_step(kind) is None:
             raise ConfigError(
                 "compare aligns series by cumulative gradient evaluations; "
                 "sgdmax has no fixed per-step cost, so it cannot be compared "
@@ -234,22 +220,21 @@ def cmd_compare(
         for e in eps
     ]
 
-    def one(seed: int):
-        init = build_init(cfg.get("init"), problem, seed)
-        out = []
-        for (label, kind, plan), e, diag in zip(series, eps, diag_by_series):
-            rng = RngStream(seed, stream_id=0)
-            res = run(
-                problem,
-                kind,
-                plan,
-                init,
-                budget_used // e,
-                rng,
-                diag,
-                waive_constraints=waive,
-                provenance={"base_seed": seed, "series": label},
-            )
+    inits = [build_init(cfg.get("init"), problem, seed) for seed in seeds]
+    by_series = []
+    for (label, kind, plan), e, diag in zip(series, eps, diag_by_series):
+        series_results = run(
+            problem,
+            kind,
+            plan,
+            inits,
+            budget_used // e,
+            [RngStream(seed, stream_id=0) for seed in seeds],
+            diag,
+            waive_constraints=waive,
+            provenances=[{"base_seed": seed, "series": label} for seed in seeds],
+        )
+        for res in series_results:
             if res.summary["grad_evals"] != budget_used:
                 raise GdakitError(
                     f"series '{label}': recorded {res.summary['grad_evals']} "
@@ -260,10 +245,9 @@ def cmd_compare(
                     f"series '{label}': {len(res.records)} checkpoints, "
                     f"expected {n_rows}"
                 )
-            out.append(res)
-        return out
-
-    results = _fan_out(one, seeds)
+        by_series.append(series_results)
+    # per seed, its result of every series
+    results = list(zip(*by_series))
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

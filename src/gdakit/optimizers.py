@@ -14,18 +14,42 @@ in x; they differ in how much inner ascent buys each descent step:
 
 Counters track gradient evaluations so runs can be compared at equal oracle
 cost: sgda costs 2 per step, esgda m+1, rsgda 1, sgdmax inner+1.
+
+Each kind's dataclass owns one batched step that advances S independent
+chains held as (S, m)/(S, n) arrays; run_chains drives it, and run and the
+*_step functions are its single-chain uses.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Union
+from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
 
-from .core import ParameterError, RngStream
+from .core import DivergenceError, ParameterError, RngStream
 from .diagnostics import TraceRecord, h_metric, lyapunov
 from .problems import JointPoint, Problem
 from .schedules import StepPlan, require_feasible
+
+
+class ChainStep(NamedTuple):
+    """One step of S chains: the new (S, m)/(S, n) iterates, each chain's x-
+    and y-update counts (an int shared by every chain, or an (S,) array),
+    the branch each chain took, and (chain index, message) warnings.
+    Every block update costs one gradient evaluation, so a chain's
+    evaluations are its x plus y updates."""
+
+    x: np.ndarray
+    y: np.ndarray
+    x_steps: int | np.ndarray
+    y_steps: int | np.ndarray
+    branch: list[str]
+    warnings: tuple[tuple[int, str], ...] = ()
+
+
+def _draws(problem: Problem, rngs: list[RngStream]) -> list:
+    """One fresh sample per chain, each from the chain's own stream."""
+    return [problem.draw_sample(rng) for rng in rngs]
 
 
 @dataclass(frozen=True)
@@ -35,6 +59,17 @@ class Sgda:
 
     strict_sample_reuse: bool = False
     tag: str = "sgda"
+    evals_per_step: ClassVar[int] = 2
+    randomized: ClassVar[bool] = False
+
+    def step(self, problem, x, y, rngs, alpha, eta, p, k) -> ChainStep:
+        """Ascent at (x, y), then descent at (x, y_new)."""
+        samples = _draws(problem, rngs)
+        y_new = y + eta * problem.grad_with_sample_batch(x, y, samples)[1]
+        if not self.strict_sample_reuse:
+            samples = _draws(problem, rngs)
+        x_new = x - alpha * problem.grad_with_sample_batch(x, y_new, samples)[0]
+        return ChainStep(x_new, y_new, 1, 1, ["both"] * len(rngs))
 
 
 @dataclass(frozen=True)
@@ -42,6 +77,8 @@ class SgdMax:
     delta: float = 1e-6
     inner_max_iters: int = 1000
     tag: str = "sgdmax"
+    evals_per_step: ClassVar[int | None] = None  # inner ascent length varies
+    randomized: ClassVar[bool] = False
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -49,20 +86,88 @@ class SgdMax:
         if self.inner_max_iters < 1:
             raise ParameterError("SgdMax: inner_max_iters must be >= 1")
 
+    def _ascend(self, problem: Problem, x: np.ndarray, y: np.ndarray):
+        """Exact ascent in y from one chain's (x, y) until the inner gap is
+        certified <= delta; returns (y, certified, ascent steps)."""
+        c = problem.constants
+        step = 1.0 / c.l1
+
+        def gap_ok(yv: np.ndarray) -> bool:
+            if problem.closed_phi is not None:
+                phi, _ = problem.closed_phi(x)
+                return phi - problem.value(JointPoint(x, yv)) <= self.delta
+            gy = problem.exact_grad(JointPoint(x, yv)).gy
+            return float(gy @ gy) / (2.0 * c.mu) <= self.delta
+
+        inner = 0
+        while inner < self.inner_max_iters:
+            if gap_ok(y):
+                return y, True, inner
+            y = y + step * problem.exact_grad(JointPoint(x, y)).gy
+            inner += 1
+        return y, gap_ok(y), inner
+
+    def step(self, problem, x, y, rngs, alpha, eta, p, k) -> ChainStep:
+        """Certified inner ascent chain by chain (each stops after its own
+        number of steps), then one stochastic descent step for all."""
+        ascents = [self._ascend(problem, xi, yi) for xi, yi in zip(x, y)]
+        y_new = np.stack([a[0] for a in ascents])
+        gx = problem.grad_with_sample_batch(x, y_new, _draws(problem, rngs))[0]
+        warn = tuple(
+            (i, f"sgdmax: inner budget {self.inner_max_iters} exhausted at k={k}")
+            for i, a in enumerate(ascents)
+            if not a[1]
+        )
+        inner = np.array([a[2] for a in ascents])
+        return ChainStep(x - alpha * gx, y_new, 1, inner, ["both"] * len(rngs), warn)
+
 
 @dataclass(frozen=True)
 class Esgda:
     m: int = 1
     tag: str = "esgda"
+    randomized: ClassVar[bool] = False
 
     def __post_init__(self):
         if self.m < 1:
             raise ParameterError(f"Esgda: m must be >= 1, got {self.m}")
 
+    @property
+    def evals_per_step(self) -> int:
+        return self.m + 1
+
+    def step(self, problem, x, y, rngs, alpha, eta, p, k) -> ChainStep:
+        """m chained stochastic ascent steps, then one descent step; every
+        update draws a fresh sample."""
+        for _ in range(self.m):
+            y = y + eta * problem.grad_with_sample_batch(x, y, _draws(problem, rngs))[1]
+        gx = problem.grad_with_sample_batch(x, y, _draws(problem, rngs))[0]
+        return ChainStep(x - alpha * gx, y, 1, self.m, ["both"] * len(rngs))
+
 
 @dataclass(frozen=True)
 class Rsgda:
+    """The randomized single-sample method. It is the only kind whose plan
+    carries a convergence certificate (validated by run_chains) and whose
+    steps use, and log, the plan's update probability p."""
+
     tag: str = "rsgda"
+    evals_per_step: ClassVar[int] = 1
+    randomized: ClassVar[bool] = True
+
+    def step(self, problem, x, y, rngs, alpha, eta, p, k) -> ChainStep:
+        """Each chain draws its sample before its coin, so its stream use
+        does not depend on the branch."""
+        if not (0 < p <= 1):
+            raise ParameterError(f"rsgda: p must lie in (0, 1], got {p}")
+        samples = _draws(problem, rngs)
+        take_x = np.array([rng.bernoulli(p) for rng in rngs])
+        gx, gy = problem.grad_with_sample_batch(x, y, samples)
+        col = take_x[:, None]
+        x_new = np.where(col, x - alpha * gx, x)
+        y_new = np.where(col, y, y + eta * gy)
+        branch = ["x" if t else "y" for t in take_x]
+        return ChainStep(x_new, y_new, take_x, ~take_x, branch)
 
 
 OptKind = Union[Sgda, SgdMax, Esgda, Rsgda]
@@ -86,6 +191,31 @@ def init_state(point: JointPoint, rng: RngStream) -> OptState:
     return OptState(point=point, rng=rng)
 
 
+def _first(count: int | np.ndarray) -> int:
+    """The first chain's value of a ChainStep count (a shared int or per chain)."""
+    return count if isinstance(count, int) else int(count[0])
+
+
+def _single_step(
+    kind: OptKind, problem: Problem, state: OptState, alpha, eta, p=None
+) -> OptState:
+    """One step of one chain: the kind's batched step at S = 1."""
+    pt = problem.check_point(state.point)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = kind.step(problem, pt.x[None], pt.y[None], [state.rng], alpha, eta, p, state.k)
+    dx, dy = _first(out.x_steps), _first(out.y_steps)
+    return replace(
+        state,
+        point=JointPoint(out.x[0], out.y[0]),
+        k=state.k + 1,
+        x_steps=state.x_steps + dx,
+        y_steps=state.y_steps + dy,
+        grad_evals=state.grad_evals + dx + dy,
+        last_branch=out.branch[0],
+        warnings=state.warnings + tuple(msg for _, msg in out.warnings),
+    )
+
+
 def sgda_step(
     problem: Problem,
     state: OptState,
@@ -95,26 +225,7 @@ def sgda_step(
     strict_sample_reuse: bool = False,
 ) -> OptState:
     """Ascent at (x, y), then descent at (x, y_new). Two gradient evaluations."""
-    pt = problem.check_point(state.point)
-    if strict_sample_reuse:
-        z = problem.draw_sample(state.rng)
-        gy = problem.grad_with_sample(pt, z).gy
-        y_new = pt.y + eta * gy
-        gx = problem.grad_with_sample(JointPoint(pt.x, y_new), z).gx
-    else:
-        gy = problem.stoch_grad(pt, state.rng).gy
-        y_new = pt.y + eta * gy
-        gx = problem.stoch_grad(JointPoint(pt.x, y_new), state.rng).gx
-    x_new = pt.x - alpha * gx
-    return replace(
-        state,
-        point=JointPoint(x_new, y_new),
-        k=state.k + 1,
-        x_steps=state.x_steps + 1,
-        y_steps=state.y_steps + 1,
-        grad_evals=state.grad_evals + 2,
-        last_branch="both",
-    )
+    return _single_step(Sgda(strict_sample_reuse), problem, state, alpha, eta)
 
 
 def sgdmax_step(
@@ -128,47 +239,7 @@ def sgdmax_step(
     stochastic descent step. Gap certificate: phi(x) - F(x, y) directly when
     a closed phi exists, else |grad_y F|^2/(2 mu). Budget exhaustion sets a
     warning on the state instead of failing."""
-    pt = problem.check_point(state.point)
-    if delta <= 0:
-        raise ParameterError(f"sgdmax_step: delta must be > 0, got {delta}")
-    c = problem.constants
-    step = 1.0 / c.l1
-    y = pt.y.copy()
-    certified = False
-    inner = 0
-
-    def gap_ok(yv: np.ndarray) -> bool:
-        if problem.closed_phi is not None:
-            phi, _ = problem.closed_phi(pt.x)
-            return phi - problem.value(JointPoint(pt.x, yv)) <= delta
-        gy = problem.exact_grad(JointPoint(pt.x, yv)).gy
-        return float(gy @ gy) / (2.0 * c.mu) <= delta
-
-    while inner < inner_max_iters:
-        if gap_ok(y):
-            certified = True
-            break
-        gy = problem.exact_grad(JointPoint(pt.x, y)).gy
-        y = y + step * gy
-        inner += 1
-    if not certified:
-        certified = gap_ok(y)
-    warnings = state.warnings
-    if not certified:
-        warnings = warnings + (f"sgdmax: inner budget {inner_max_iters} exhausted at k={state.k}",)
-
-    gx = problem.stoch_grad(JointPoint(pt.x, y), state.rng).gx
-    x_new = pt.x - alpha * gx
-    return replace(
-        state,
-        point=JointPoint(x_new, y),
-        k=state.k + 1,
-        x_steps=state.x_steps + 1,
-        y_steps=state.y_steps + inner,
-        grad_evals=state.grad_evals + inner + 1,
-        last_branch="both",
-        warnings=warnings,
-    )
+    return _single_step(SgdMax(delta, inner_max_iters), problem, state, alpha, None)
 
 
 def esgda_step(
@@ -176,24 +247,7 @@ def esgda_step(
 ) -> OptState:
     """m chained stochastic ascent steps, then one stochastic descent step.
     Every update draws a fresh sample; m+1 gradient evaluations."""
-    if m < 1:
-        raise ParameterError(f"esgda_step: m must be >= 1, got {m}")
-    pt = problem.check_point(state.point)
-    y = pt.y
-    for _ in range(m):
-        gy = problem.stoch_grad(JointPoint(pt.x, y), state.rng).gy
-        y = y + eta * gy
-    gx = problem.stoch_grad(JointPoint(pt.x, y), state.rng).gx
-    x_new = pt.x - alpha * gx
-    return replace(
-        state,
-        point=JointPoint(x_new, y),
-        k=state.k + 1,
-        x_steps=state.x_steps + 1,
-        y_steps=state.y_steps + m,
-        grad_evals=state.grad_evals + m + 1,
-        last_branch="both",
-    )
+    return _single_step(Esgda(m), problem, state, alpha, eta)
 
 
 def rsgda_step(
@@ -202,25 +256,7 @@ def rsgda_step(
     """One sample, one coin: descent in x with probability p, else ascent in
     y. Single gradient evaluation; the sample is drawn before the coin so
     stream consumption does not depend on the branch."""
-    if not (0 < p <= 1):
-        raise ParameterError(f"rsgda_step: p must lie in (0, 1], got {p}")
-    pt = problem.check_point(state.point)
-    sample = problem.draw_sample(state.rng)
-    take_x = state.rng.bernoulli(p)
-    g = problem.grad_with_sample(pt, sample)
-    if take_x:
-        new_pt = JointPoint(pt.x - alpha * g.gx, pt.y)
-    else:
-        new_pt = JointPoint(pt.x, pt.y + eta * g.gy)
-    return replace(
-        state,
-        point=new_pt,
-        k=state.k + 1,
-        x_steps=state.x_steps + (1 if take_x else 0),
-        y_steps=state.y_steps + (0 if take_x else 1),
-        grad_evals=state.grad_evals + 1,
-        last_branch="x" if take_x else "y",
-    )
+    return _single_step(Rsgda(), problem, state, alpha, eta, p)
 
 
 @dataclass(frozen=True)
@@ -252,34 +288,14 @@ class RunResult:
 
 def evals_per_step(kind: OptKind) -> int | None:
     """Fixed oracle cost per step, or None when it varies (sgdmax)."""
-    if isinstance(kind, Sgda):
-        return 2
-    if isinstance(kind, Esgda):
-        return kind.m + 1
-    if isinstance(kind, Rsgda):
-        return 1
-    return None
+    return kind.evals_per_step
 
 
-def _step(problem: Problem, kind: OptKind, state: OptState, plan: StepPlan) -> OptState:
-    k = state.k
-    alpha, eta = plan.alpha(k), plan.eta(k)
-    if isinstance(kind, Sgda):
-        return sgda_step(
-            problem, state, alpha, eta, strict_sample_reuse=kind.strict_sample_reuse
-        )
-    if isinstance(kind, SgdMax):
-        return sgdmax_step(problem, state, alpha, kind.delta, kind.inner_max_iters)
-    if isinstance(kind, Esgda):
-        return esgda_step(problem, state, alpha, eta, kind.m)
-    if isinstance(kind, Rsgda):
-        return rsgda_step(problem, state, alpha, eta, plan.p(k))
-    raise ParameterError(f"run: unknown optimizer kind {kind!r}")
+_METRIC_KEYS = ("grad_x_norm", "grad_y_norm", "h", "v", "dist", "loss")
 
 
 def _metrics(problem: Problem, point: JointPoint, diag: DiagConfig) -> dict:
-    out: dict = {"grad_x_norm": None, "grad_y_norm": None, "h": None, "v": None,
-                 "dist": None, "loss": None}
+    out: dict = dict.fromkeys(_METRIC_KEYS)
     if diag.grad_norms:
         g = problem.exact_grad(point)
         out["grad_x_norm"] = float(np.linalg.norm(g.gx))
@@ -302,6 +318,129 @@ def _metrics(problem: Problem, point: JointPoint, diag: DiagConfig) -> dict:
     return out
 
 
+def run_chains(
+    problem: Problem,
+    kind: OptKind,
+    plan: StepPlan,
+    inits: list[JointPoint],
+    iters: int,
+    rngs: list[RngStream],
+    diag: DiagConfig = DiagConfig(),
+    *,
+    waive_constraints: bool = False,
+    provenances: list[dict | None] | None = None,
+) -> list[RunResult]:
+    """Run `kind` for `iters` steps on S independent chains, chain i from
+    inits[i] with its own stream rngs[i]; one RunResult per chain.
+
+    The chains step together as (S, m)/(S, n) arrays. Each chain draws only
+    from its own stream, in the same order as the single-chain step
+    functions, and each row of a batched gradient equals that point's
+    gradient alone, so a chain's result does not depend on which chains run
+    beside it: run_chains([a, b, c])[1] equals run(b).
+
+    Each chain logs a TraceRecord after every diag.interval-th step and
+    always after the last one. A row carries the post-step iterate's
+    metrics, the branch taken by the step that produced it, and that step's
+    plan values, so summary statistics (min h, final metrics) are
+    recomputable from the trace alone. For the randomized single-sample
+    method the plan is validated against the step-size constraints unless
+    waive_constraints is set; other kinds carry no such certificate and only
+    need positive steps.
+
+    Inputs are validated once, here; inside the loop the iterates are raw
+    arrays with one finiteness check per step, and numpy overflow warnings
+    are off (a metric that overflows is logged as inf). A step that leaves any
+    chain's iterate non-finite raises DivergenceError naming the lowest such
+    seed, the step k, its branch and plan values, and carrying the records
+    that seed logged before k.
+    """
+    if iters < 0:
+        raise ParameterError(f"run: iters must be >= 0, got {iters}")
+    provenances = [None] * len(inits) if provenances is None else provenances
+    if not inits or len(rngs) != len(inits) or len(provenances) != len(inits):
+        raise ParameterError(
+            f"run_chains: need one stream and provenance per initial point, got "
+            f"{len(inits)} points, {len(rngs)} streams, {len(provenances)} provenances"
+        )
+    for init in inits:
+        problem.check_point(init)
+    if kind.randomized and not waive_constraints and iters > 0:
+        ks = tuple(sorted({0, iters // 2, iters - 1}))
+        require_feasible(plan, problem.constants, ks)
+
+    s = len(inits)
+    x = np.stack([init.x for init in inits])
+    y = np.stack([init.y for init in inits])
+    x_steps = np.zeros(s, dtype=np.int64)
+    y_steps = np.zeros(s, dtype=np.int64)
+    warnings: list[list[str]] = [[] for _ in range(s)]
+    records: list[list[TraceRecord]] = [[] for _ in range(s)]
+    # overflow surfaces as the non-finite iterate the check below reports,
+    # or as an inf metric of a huge but finite iterate, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(iters):
+            alpha, eta = plan.alpha(k), plan.eta(k)
+            p = plan.p(k) if kind.randomized else None
+            out = kind.step(problem, x, y, rngs, alpha, eta, p, k)
+            x, y = out.x, out.y
+            if not (np.isfinite(x).all() and np.isfinite(y).all()):
+                finite = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
+                i = min(np.flatnonzero(~finite), key=lambda j: rngs[j].base_seed)
+                seed = rngs[i].base_seed
+                raise DivergenceError(
+                    f"{kind.tag} on {problem.name}: seed {seed} diverged at step "
+                    f"k={k + 1} (branch {out.branch[i]}, alpha={alpha}, eta={eta}, "
+                    f"p={p}): non-finite iterate",
+                    seed=seed,
+                    k=k + 1,
+                    records=records[i],
+                )
+            x_steps += out.x_steps
+            y_steps += out.y_steps
+            for i, msg in out.warnings:
+                warnings[i].append(msg)
+            if (k + 1) % diag.interval == 0 or k + 1 == iters:
+                for i in range(s):
+                    met = _metrics(problem, JointPoint._view(x[i], y[i]), diag)
+                    records[i].append(
+                        TraceRecord(
+                            k=k + 1, branch=out.branch[i], alpha=alpha, eta=eta, p=p, **met
+                        )
+                    )
+
+    results = []
+    for i in range(s):
+        final = JointPoint(x[i], y[i])
+        recs = records[i]
+        if recs:
+            final_metrics = {key: getattr(recs[-1], key) for key in _METRIC_KEYS}
+        else:
+            final_metrics = _metrics(problem, final, diag)
+        logged_h = [r.h for r in recs if r.h is not None]
+        summary = {
+            "kind": kind.tag,
+            "plan": plan.kind,
+            "iters": iters,
+            "grad_evals": int(x_steps[i] + y_steps[i]),
+            "x_steps": int(x_steps[i]),
+            "y_steps": int(y_steps[i]),
+            "min_h": min(logged_h) if logged_h else None,
+            "final_h": final_metrics["h"],
+            "final_v": final_metrics["v"],
+            "final_dist": final_metrics["dist"],
+            "final_loss": final_metrics["loss"],
+            "final_grad_x_norm": final_metrics["grad_x_norm"],
+            "final_grad_y_norm": final_metrics["grad_y_norm"],
+            "warnings": len(warnings[i]),
+        }
+        prov = dict(provenances[i] or {})
+        prov.setdefault("base_seed", rngs[i].base_seed)
+        prov.setdefault("stream_id", rngs[i].stream_id)
+        results.append(RunResult(records=recs, final=final, summary=summary, provenance=prov))
+    return results
+
+
 def run(
     problem: Problem,
     kind: OptKind,
@@ -314,75 +453,15 @@ def run(
     waive_constraints: bool = False,
     provenance: dict | None = None,
 ) -> RunResult:
-    """Run `kind` for `iters` steps, logging a TraceRecord after every
-    diag.interval-th step and always after the last one.
-
-    Each row carries the post-step iterate's metrics, the branch taken by
-    the step that produced it, and that step's plan values, so summary
-    statistics (min h, final metrics) are recomputable from the trace alone.
-    For the randomized single-sample method the plan is validated against
-    the step-size constraints unless waive_constraints is set; other kinds
-    carry no such certificate and only need positive steps.
-    """
-    if iters < 0:
-        raise ParameterError(f"run: iters must be >= 0, got {iters}")
-    problem.check_point(init)
-    if isinstance(kind, Rsgda) and not waive_constraints and iters > 0:
-        ks = tuple(sorted({0, iters // 2, iters - 1}))
-        require_feasible(plan, problem.constants, ks)
-
-    state = init_state(init, rng)
-    records: list[TraceRecord] = []
-    for k in range(iters):
-        state = _step(problem, kind, state, plan)
-        if state.k % diag.interval == 0 or state.k == iters:
-            met = _metrics(problem, state.point, diag)
-            records.append(
-                TraceRecord(
-                    k=state.k,
-                    branch=state.last_branch,
-                    alpha=plan.alpha(k),
-                    eta=plan.eta(k),
-                    p=plan.p(k) if isinstance(kind, Rsgda) else None,
-                    grad_x_norm=met["grad_x_norm"],
-                    grad_y_norm=met["grad_y_norm"],
-                    h=met["h"],
-                    v=met["v"],
-                    dist=met["dist"],
-                    loss=met["loss"],
-                )
-            )
-
-    if records:
-        last = records[-1]
-        final_metrics = {
-            "grad_x_norm": last.grad_x_norm,
-            "grad_y_norm": last.grad_y_norm,
-            "h": last.h,
-            "v": last.v,
-            "dist": last.dist,
-            "loss": last.loss,
-        }
-    else:
-        final_metrics = _metrics(problem, state.point, diag)
-    logged_h = [r.h for r in records if r.h is not None]
-    summary = {
-        "kind": kind.tag,
-        "plan": plan.kind,
-        "iters": state.k,
-        "grad_evals": state.grad_evals,
-        "x_steps": state.x_steps,
-        "y_steps": state.y_steps,
-        "min_h": min(logged_h) if logged_h else None,
-        "final_h": final_metrics["h"],
-        "final_v": final_metrics["v"],
-        "final_dist": final_metrics["dist"],
-        "final_loss": final_metrics["loss"],
-        "final_grad_x_norm": final_metrics["grad_x_norm"],
-        "final_grad_y_norm": final_metrics["grad_y_norm"],
-        "warnings": len(state.warnings),
-    }
-    prov = dict(provenance or {})
-    prov.setdefault("base_seed", rng.base_seed)
-    prov.setdefault("stream_id", rng.stream_id)
-    return RunResult(records=records, final=state.point, summary=summary, provenance=prov)
+    """run_chains on the single chain (init, rng); see there."""
+    return run_chains(
+        problem,
+        kind,
+        plan,
+        [init],
+        iters,
+        [rng],
+        diag,
+        waive_constraints=waive_constraints,
+        provenances=[provenance],
+    )[0]

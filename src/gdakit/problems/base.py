@@ -38,6 +38,16 @@ class JointPoint:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
+    @classmethod
+    def _view(cls, x: np.ndarray, y: np.ndarray) -> "JointPoint":
+        """A point on the caller's 1-d float64 arrays of the right lengths,
+        without the copy and the finiteness check: for loops that check
+        their iterates themselves and do not write to these arrays."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "x", x)
+        object.__setattr__(point, "y", y)
+        return point
+
     @property
     def m(self) -> int:
         return self.x.shape[0]
@@ -104,10 +114,12 @@ class Problem:
     """Base class; concrete factories live in the sibling modules.
 
     Subclasses must implement value, exact_grad, draw_sample and
-    grad_with_sample. closed_phi / nash_point / dist_to_opt stay None when
-    the problem cannot support them. pl_condition is False for problems
-    (bilinear coupling) whose inner maximization has no curvature, so
-    phi-based diagnostics refuse them.
+    grad_with_sample, and may override grad_with_sample_batch with a
+    vectorized form whose rows match the per-point oracle. closed_phi /
+    nash_point / dist_to_opt stay None when the problem cannot support
+    them. pl_condition is False for problems (bilinear coupling) whose
+    inner maximization has no curvature, so phi-based diagnostics refuse
+    them.
     """
 
     name: str = "problem"
@@ -134,6 +146,29 @@ class Problem:
     def stoch_grad(self, point: JointPoint, rng: RngStream) -> GradSample:
         """Unbiased gradient sample: one fresh draw, evaluated at point."""
         return self.grad_with_sample(point, self.draw_sample(rng))
+
+    def grad_with_sample_batch(
+        self, x: np.ndarray, y: np.ndarray, samples: list
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Sampled gradients at a stack of points: row i of x (S, m) and
+        y (S, n) with samples[i]. Returns (gx (S, m), gy (S, n)), each row
+        bit-identical to grad_with_sample on that point alone.
+
+        This default loops over the rows without validating them: a row
+        that has diverged must not stop the loop, since the caller's
+        finiteness check on the iterates reports it. A row whose gradient is
+        non-finite gets NaN gradients.
+        """
+        gx = np.empty(x.shape)
+        gy = np.empty(y.shape)
+        for i, sample in enumerate(samples):
+            try:
+                g = self.grad_with_sample(JointPoint._view(x[i], y[i]), sample)
+            except ParameterError:  # GradSample found non-finite entries
+                gx[i], gy[i] = np.nan, np.nan
+                continue
+            gx[i], gy[i] = g.gx, g.gy
+        return gx, gy
 
     dist_to_opt = None  # optional callable point -> float
 

@@ -13,7 +13,9 @@ Three factories:
 
 The stochastic oracle adds a state-independent Gaussian vector with total
 variance sigma^2 split across the joint dimension, so the variance bound is
-tight and exactly known.
+tight and exactly known. Gradients are written once, for one point or
+for a stack of points (one per row), so the batched oracle and the
+single-point oracle share their arithmetic.
 """
 from __future__ import annotations
 
@@ -40,8 +42,31 @@ def sym_pinv(a: np.ndarray, cutoff: float = _PINV_CUTOFF):
     return pinv, vals, vecs, pos
 
 
+def _mv(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """mat @ v for one vector v, or for each row of a stack v (S, k).
+
+    Stacked matmul runs one matrix-vector product per row, so each row is
+    bit-identical to mat @ row whatever S is; the plain v @ mat.T is one
+    matrix product whose summation order changes low-order bits at S >= 2.
+    """
+    if v.ndim == 1:
+        return mat @ v
+    return np.matmul(mat, v[..., None])[..., 0]
+
+
 class _AdditiveNoiseProblem(Problem):
-    """Analytic problem whose sampled gradient is exact + Gaussian noise."""
+    """Analytic problem whose sampled gradient is exact + Gaussian noise.
+
+    Subclasses define _grads(x, y) -> (gx, gy) on one point (1-d x, y) or
+    on stacked rows (2-d), elementwise and through _mv only, so each row of
+    the stacked form is bit-identical to the single-point form.
+    """
+
+    def _grads(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def exact_grad(self, point: JointPoint) -> GradSample:
+        return GradSample(*self._grads(point.x, point.y))
 
     def draw_sample(self, rng: RngStream):
         if self.constants.sigma == 0.0:
@@ -54,6 +79,13 @@ class _AdditiveNoiseProblem(Problem):
         if sample is None:
             return g
         return GradSample(g.gx + sample[: self.m], g.gy + sample[self.m :])
+
+    def grad_with_sample_batch(self, x, y, samples):
+        gx, gy = self._grads(x, y)
+        if samples[0] is None:  # sigma == 0 draws no noise for any row
+            return gx, gy
+        z = np.stack(samples)
+        return gx + z[:, : self.m], gy + z[:, self.m :]
 
 
 class _ScscQuadratic(_AdditiveNoiseProblem):
@@ -86,9 +118,8 @@ class _ScscQuadratic(_AdditiveNoiseProblem):
             0.5 * self.a * (x @ x) + x @ (self.b_mat @ y) - 0.5 * self.a * (y @ y)
         )
 
-    def exact_grad(self, point: JointPoint) -> GradSample:
-        x, y = point.x, point.y
-        return GradSample(self.a * x + self.b_mat @ y, self.b_mat.T @ x - self.a * y)
+    def _grads(self, x, y):
+        return self.a * x + _mv(self.b_mat, y), _mv(self.b_mat.T, x) - self.a * y
 
     def closed_phi(self, x: np.ndarray):
         """phi(x) = (a/2)|x|^2 + |B'x|^2/(2a), maximizer y*(x) = B'x / a."""
@@ -122,8 +153,8 @@ class _Bilinear(_AdditiveNoiseProblem):
     def value(self, point: JointPoint) -> float:
         return float(point.x @ point.y)
 
-    def exact_grad(self, point: JointPoint) -> GradSample:
-        return GradSample(point.y.copy(), point.x.copy())
+    def _grads(self, x, y):
+        return y.copy(), x.copy()
 
     def dist_to_opt(self, point: JointPoint) -> float:
         return float(np.linalg.norm(point.joined()))
@@ -186,18 +217,14 @@ class _NcplQuadratic(_AdditiveNoiseProblem):
     def _g(self, x: np.ndarray) -> float:
         return float(0.5 * x @ (self.q @ x) + self.c * np.sin(x).sum())
 
-    def _g_grad(self, x: np.ndarray) -> np.ndarray:
-        return self.q @ x + self.c * np.cos(x)
-
     def value(self, point: JointPoint) -> float:
         x, y = point.x, point.y
         return float(self._g(x) + y @ (self.b_mat @ x) - 0.5 * y @ (self.a_mat @ y))
 
-    def exact_grad(self, point: JointPoint) -> GradSample:
-        x, y = point.x, point.y
-        gx = self._g_grad(x) + self.b_mat.T @ y
-        gy = self.b_mat @ x - self.a_mat @ y
-        return GradSample(gx, gy)
+    def _grads(self, x, y):
+        gx = _mv(self.q, x) + self.c * np.cos(x) + _mv(self.b_mat.T, y)
+        gy = _mv(self.b_mat, x) - _mv(self.a_mat, y)
+        return gx, gy
 
     def closed_phi(self, x: np.ndarray):
         """phi(x) = g(x) + (1/2)(Bx)'A^+(Bx); maximizer y*(x) = A^+ B x."""

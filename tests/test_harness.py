@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +271,29 @@ def test_cmd_run_enforces_rsgda_feasibility(tmp_path):
     assert ok["per_seed"]["0"]["iters"] == 10
 
 
+def test_cmd_run_seed_outputs_do_not_depend_on_other_seeds(tmp_path):
+    cfg = _run_cfg(
+        problem={
+            "name": "scsc_quadratic",
+            "params": {"a": 1.0, "coupling": [[0.4, 0.1], [0.0, 0.4]],
+                       "m": 2, "n": 2, "sigma": 0.5},
+        },
+        optimizer={"kind": "rsgda", "params": {}},
+        plan={"kind": "constant", "alpha": 0.05, "eta": 0.3, "p": 0.2},
+        iters=60,
+        init={"kind": "gauss", "scale": 2.0},
+        diag={"interval": 7, "h": True, "v": True, "loss": True},
+        waive_constraints=True,
+    )
+    # seeds_override leaves the config hash, and so every header, unchanged
+    cmd_run(cfg, tmp_path / "alone", seeds_override=[7])
+    cmd_run(cfg, tmp_path / "shared", seeds_override=[12, 7, 3])
+    for name in ("trace_seed7.csv", "final_x_seed7.csv", "final_y_seed7.csv"):
+        assert (tmp_path / "alone" / name).read_bytes() == (
+            tmp_path / "shared" / name
+        ).read_bytes()
+
+
 # ---------------------------------------------------------------- compare
 
 def _compare_cfg(**over):
@@ -492,6 +516,28 @@ def test_cli_exit_one_on_runtime_failure(tmp_path):
     }
     assert main(["pselect", _write_cfg(tmp_path, cfg),
                  "--out", str(tmp_path / "o")]) == 1
+
+
+def test_cli_divergence_names_seed_and_step_and_writes_partial_trace(tmp_path, capsys):
+    cfg = {
+        "problem": {"name": "bilinear", "params": {"m": 2, "n": 2, "sigma": 0.1}},
+        "optimizer": {"kind": "sgda", "params": {}},
+        "plan": {"kind": "constant", "alpha": 50.0, "eta": 50.0},
+        "iters": 400,
+        "seeds": [3, 4],
+        "init": {"kind": "gauss"},
+        "diag": {"interval": 10},
+    }
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "seed 3 diverged at step k=91" in err
+    assert "alpha=50.0, eta=50.0" in err
+    recs, chash = read_trace_csv(out / "trace_seed3.csv")
+    assert [r.k for r in recs] == list(range(10, 91, 10))
+    assert chash == config_hash(cfg)
 
 
 def test_cli_out_dir_resolution(tmp_path, monkeypatch):
