@@ -11,7 +11,7 @@ hunts for such a pointwise violation.
 import numpy as np
 
 from gdakit.core import RngStream
-from gdakit.diagnostics import contraction_sweep
+from gdakit.diagnostics import contraction_alpha_cap, contraction_rho, contraction_sweep
 from gdakit.problems import make_scsc_quadratic, random_scsc_instance
 
 
@@ -23,10 +23,10 @@ def sweep_at_half(n_instances: int = 3, n_points: int = 500) -> None:
         c = prob.constants
         rng = RngStream(100 + seed, stream_id=0)
         points = [prob.random_point(rng, 2.0) for _ in range(n_points)]
-        cap = 2.0 * 0.5 * c.mu / (0.5 * c.l1**2)
+        cap = contraction_alpha_cap(c, 0.5)
         for frac in (0.25, 0.5, 0.9):
             rep = contraction_sweep(prob, points, frac * cap, 0.5)
-            rho = 1.0 - c.mu * frac * cap + (frac * cap) ** 2 * 0.5 * c.l1**2
+            rho = contraction_rho(c, frac * cap, 0.5)
             print(f"{seed:>9} {prob.m:>4} {frac:>10.2f} {rho:>8.4f} "
                   f"{rep.worst_margin:>13.3e}")
     print("negative margins: the bound holds at every sampled point\n")
@@ -38,11 +38,11 @@ def pointwise_failure_below_half() -> None:
     prob = make_scsc_quadratic(1.0, [[1.8]], 1, 1)
     c = prob.constants
     p = 0.25
-    alpha = 0.5 * 2.0 * p * c.mu / ((1.0 - p) * c.l1**2)
+    alpha = 0.5 * contraction_alpha_cap(c, p)
     rng = RngStream(7, stream_id=0)
     points = [prob.random_point(rng, 2.0) for _ in range(2000)]
     rep = contraction_sweep(prob, points, alpha, p)
-    rho = 1.0 - 2.0 * p * c.mu * alpha + alpha**2 * (1.0 - p) * c.l1**2
+    rho = contraction_rho(c, alpha, p)
     print(f"p = {p}, coupled instance, alpha = {alpha:.4f}:")
     print(f"  rho = {rho:.4f}, worst measured-minus-rho margin = "
           f"{rep.worst_margin:+.4f}")

@@ -85,6 +85,18 @@ def norm2(a) -> float:
     return float(np.linalg.norm(va))
 
 
+def row_dot(a: np.ndarray, b: np.ndarray):
+    """a @ b for two vectors, or the dot of each row pair of two stacks (S, k).
+
+    Stacked matmul runs one dot product per row, so each row is
+    bit-identical to a @ b on that row alone whatever S is (einsum's row
+    sums are not).
+    """
+    if a.ndim == 1:
+        return a @ b
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 class RngStream:
     """Reproducible random stream keyed by (base_seed, stream_id).
 

@@ -35,8 +35,9 @@ from .core import (
     GdakitError,
     InsufficientDataError,
     ParameterError,
+    row_dot,
 )
-from .problems import JointPoint, Problem, require_phi
+from .problems import JointPoint, Problem, ProblemConstants, fd_rel_err, require_phi
 from .schedules import step_constraints
 
 LYAPUNOV_C = 0.1
@@ -181,23 +182,49 @@ def lyapunov(
 class ContractionReport(NamedTuple):
     measured_ratio: float
     rho: float
-    # same formula with the p dropped from the linear term; kept for
-    # side-by-side reporting because that variant circulates as well
-    rho_uncorrected: float
 
 
-def _two_branch_ratio(problem: Problem, point: JointPoint, alpha: float, p: float):
+def contraction_alpha_cap(constants: ProblemConstants, p: float) -> float:
+    """Upper end 2 p mu / ((1-p) l1^2) of the alpha range the contraction
+    bound is proved on (open interval); infinite at p = 1."""
+    if p >= 1.0:
+        return math.inf
+    return 2.0 * p * constants.mu / ((1.0 - p) * constants.l1**2)
+
+
+def contraction_rho(constants: ProblemConstants, alpha: float, p: float) -> float:
+    """rho = 1 - 2 p mu alpha + alpha^2 (1-p) l1^2."""
+    return 1.0 - 2.0 * p * constants.mu * alpha + alpha**2 * (1.0 - p) * constants.l1**2
+
+
+def _stacks(points) -> tuple[np.ndarray, np.ndarray]:
+    """x (S, m), y (S, n) from a sequence of JointPoints or an (x, y) pair
+    of stacks; S >= 1."""
+    if isinstance(points, tuple) and len(points) == 2 and isinstance(points[0], np.ndarray):
+        x, y = points
+    else:
+        x = np.array([pt.x for pt in points])
+        y = np.array([pt.y for pt in points])
+    if len(x) < 1:
+        raise ParameterError("sweep: points must be >= 1")
+    return x, y
+
+
+def _two_branch_ratios(problem: Problem, x: np.ndarray, y: np.ndarray, alpha: float, p: float):
+    """Two-branch expected squared distance to the Nash point over the
+    current one, per row of x (S, m), y (S, n)."""
     u_star = problem.nash_point.joined()
-    u = point.joined()
-    base = float((u - u_star) @ (u - u_star))
-    if base == 0.0:
-        raise ParameterError("contraction_check: point coincides with the Nash point")
-    g = problem.exact_grad(point)
-    x_next = np.concatenate([point.x - alpha * g.gx, point.y])
-    y_next = np.concatenate([point.x, point.y + alpha * g.gy])
-    ex = float((x_next - u_star) @ (x_next - u_star))
-    ey = float((y_next - u_star) @ (y_next - u_star))
-    return (p * ex + (1.0 - p) * ey) / base
+    d = np.concatenate([x, y], axis=1) - u_star
+    base = row_dot(d, d)
+    if not base.all():
+        raise ParameterError(
+            "contraction_check: point coincides with the Nash point "
+            f"(point {int(np.argmin(base != 0.0))})"
+        )
+    gx, gy = problem.exact_grad_batch(x, y)
+    dx = np.concatenate([x - alpha * gx, y], axis=1) - u_star
+    dy = np.concatenate([x, y + alpha * gy], axis=1) - u_star
+    return (p * row_dot(dx, dx) + (1.0 - p) * row_dot(dy, dy)) / base
 
 
 def contraction_check(
@@ -213,7 +240,8 @@ def contraction_check(
     2 p mu / ((1-p) l1^2). The rho formula is provable pointwise at p = 1/2
     (and for uncoupled problems at any p <= 1/2); away from that regime
     coupled instances admit genuine violations at small alpha, which this
-    check will faithfully report as CertificateViolation.
+    check will faithfully report as CertificateViolation. This is the
+    one-point use of contraction_sweep's arithmetic.
     """
     if problem.nash_point is None:
         raise CapabilityError(f"{problem.name}: no Nash point exposed")
@@ -221,7 +249,7 @@ def contraction_check(
         raise ParameterError(f"contraction_check: p must lie in (0, 1], got {p}")
     c = problem.constants
     if p < 1.0:
-        alpha_bound = 2.0 * p * c.mu / ((1.0 - p) * c.l1**2)
+        alpha_bound = contraction_alpha_cap(c, p)
         if not (0 < alpha < alpha_bound):
             raise ConstraintError(
                 f"contraction_check: alpha={alpha} outside (0, "
@@ -230,15 +258,14 @@ def contraction_check(
     elif alpha <= 0:
         raise ParameterError("contraction_check: alpha must be > 0")
     problem.check_point(point)
-    measured = _two_branch_ratio(problem, point, alpha, p)
-    rho = 1.0 - 2.0 * p * c.mu * alpha + alpha**2 * (1.0 - p) * c.l1**2
-    rho_unc = 1.0 - 2.0 * c.mu * alpha + alpha**2 * (1.0 - p) * c.l1**2
+    measured = float(_two_branch_ratios(problem, point.x[None], point.y[None], alpha, p)[0])
+    rho = contraction_rho(c, alpha, p)
     if measured > rho + 1e-12:
         raise CertificateViolation(
             f"contraction_check: measured ratio {measured!r} exceeds "
             f"rho {rho!r} + 1e-12 (alpha={alpha}, p={p})"
         )
-    return ContractionReport(measured, rho, rho_unc)
+    return ContractionReport(measured, rho)
 
 
 @dataclass(frozen=True)
@@ -248,19 +275,28 @@ class SweepReport:
     worst_index: int
 
 
-def contraction_sweep(
-    problem: Problem, points: Sequence[JointPoint], alpha: float, p: float
-) -> SweepReport:
-    """Non-raising bulk version of contraction_check; returns the worst
-    measured-minus-rho margin over the points (negative means all pass)."""
-    c = problem.constants
-    rho = 1.0 - 2.0 * p * c.mu * alpha + alpha**2 * (1.0 - p) * c.l1**2
-    worst, worst_i = -math.inf, -1
-    for i, pt in enumerate(points):
-        m = _two_branch_ratio(problem, pt, alpha, p) - rho
-        if m > worst:
-            worst, worst_i = m, i
-    return SweepReport(count=len(points), worst_margin=worst, worst_index=worst_i)
+def _worst(margins: np.ndarray) -> SweepReport:
+    """The largest margin and its first index, failing closed: a
+    non-finite margin is the worst one, the first such index reported."""
+    bad = ~np.isfinite(margins)
+    i = int(np.argmax(bad)) if bad.any() else int(np.argmax(margins))
+    return SweepReport(count=len(margins), worst_margin=float(margins[i]), worst_index=i)
+
+
+def contraction_sweep(problem: Problem, points, alpha: float, p: float) -> SweepReport:
+    """Non-raising bulk version of contraction_check over a sequence of
+    JointPoints or an (x (S, m), y (S, n)) pair of stacks; returns the worst
+    measured-minus-rho margin (negative means all pass). One batched exact
+    gradient covers every point. A non-finite margin (overflow at huge
+    points) is reported as the worst, so the sweep cannot pass on it."""
+    if problem.nash_point is None:
+        raise CapabilityError(f"{problem.name}: no Nash point exposed")
+    x, y = _stacks(points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        margins = _two_branch_ratios(problem, x, y, alpha, p) - contraction_rho(
+            problem.constants, alpha, p
+        )
+    return _worst(margins)
 
 
 @dataclass(frozen=True)
@@ -268,6 +304,37 @@ class DescentReport:
     lhs: float  # V(x,y) - E[V after one randomized step]
     rhs: float  # p * alpha * h(x,y)
     residual: float  # lhs - rhs; >= 0 up to roundoff when constraints hold
+
+
+def _descent_terms(problem, x, y, alpha, eta, p, c):
+    """(lhs, rhs) of the descent inequality per row of x (S, m), y (S, n):
+    the arithmetic of lyapunov and h_metric on a closed phi, stacked."""
+    gx, gy = problem.exact_grad_batch(x, y)
+    phi, y_star = problem.closed_phi_batch(x)
+    v_here = phi + c * (phi - problem.value_batch(x, y))
+    x_step = x - alpha * gx
+    phi_x, _ = problem.closed_phi_batch(x_step)
+    v_x = phi_x + c * (phi_x - problem.value_batch(x_step, y))
+    v_y = phi + c * (phi - problem.value_batch(x, y + eta * gy))
+    lhs = v_here - (p * v_x + (1.0 - p) * v_y)
+    g_star = problem.exact_grad_batch(x, y_star)[0]
+    w_phi, w_gy, w_gx = H_WEIGHTS
+    h = (
+        w_phi * row_dot(g_star, g_star)
+        + w_gy * problem.constants.kappa**2 * row_dot(gy, gy)
+        + w_gx * row_dot(gx, gx)
+    )
+    return lhs, p * alpha * h
+
+
+def _descent_ready(problem: Problem, alpha: float, eta: float, p: float) -> None:
+    if problem.closed_phi is None:
+        raise CapabilityError(
+            f"{problem.name}: descent_check needs a closed-form inner maximum"
+        )
+    bad = step_constraints(problem.constants, p).check(alpha, eta)
+    if bad:
+        raise ConstraintError("descent_check: " + "; ".join(bad))
 
 
 def descent_check(
@@ -283,25 +350,34 @@ def descent_check(
     Exact gradients, no noise term: the expected next merit value is the
     exact two-point average over the branch coin. Requires closed-form phi
     and refuses step sizes that violate the feasibility constraints (the
-    inequality is only a theorem inside them).
+    inequality is only a theorem inside them). This is the one-point use of
+    descent_sweep's arithmetic.
     """
     problem.check_point(point)
-    if problem.closed_phi is None:
-        raise CapabilityError(
-            f"{problem.name}: descent_check needs a closed-form inner maximum"
-        )
-    sc = step_constraints(problem.constants, p)
-    bad = sc.check(alpha, eta)
-    if bad:
-        raise ConstraintError("descent_check: " + "; ".join(bad))
-
-    g = problem.exact_grad(point)
-    v_here = lyapunov(problem, point, c)
-    v_x = lyapunov(problem, JointPoint(point.x - alpha * g.gx, point.y), c)
-    v_y = lyapunov(problem, JointPoint(point.x, point.y + eta * g.gy), c)
-    lhs = v_here - (p * v_x + (1.0 - p) * v_y)
-    rhs = p * alpha * h_metric(problem, point)
+    _descent_ready(problem, alpha, eta, p)
+    lhs, rhs = _descent_terms(problem, point.x[None], point.y[None], alpha, eta, p, c)
+    lhs, rhs = float(lhs[0]), float(rhs[0])
     return DescentReport(lhs=lhs, rhs=rhs, residual=lhs - rhs)
+
+
+def descent_sweep(
+    problem: Problem,
+    points,
+    alpha: float,
+    eta: float,
+    p: float,
+    c: float = LYAPUNOV_C,
+) -> SweepReport:
+    """Non-raising bulk version of descent_check over a sequence of
+    JointPoints or an (x (S, m), y (S, n)) pair of stacks. The step sizes
+    are validated once; worst_margin is the largest -residual (so
+    -worst_margin is the smallest residual), a non-finite residual counting
+    as the worst."""
+    _descent_ready(problem, alpha, eta, p)
+    x, y = _stacks(points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs, rhs = _descent_terms(problem, x, y, alpha, eta, p, c)
+        return _worst(-(lhs - rhs))
 
 
 def fd_gradient_check(
@@ -320,29 +396,9 @@ def fd_gradient_check(
     if h <= 0:
         raise ParameterError(f"fd_gradient_check: h must be > 0, got {h}")
     problem.check_point(point)
-    g = problem.exact_grad(point)
     cx = range(problem.m) if coords_x is None else coords_x
     cy = range(problem.n) if coords_y is None else coords_y
-    worst = 0.0
-    for i in cx:
-        xp, xm = point.x.copy(), point.x.copy()
-        xp[i] += h
-        xm[i] -= h
-        fd = (
-            problem.value(JointPoint(xp, point.y))
-            - problem.value(JointPoint(xm, point.y))
-        ) / (2 * h)
-        worst = max(worst, abs(fd - g.gx[i]) / max(abs(g.gx[i]), 1e-8))
-    for i in cy:
-        yp, ym = point.y.copy(), point.y.copy()
-        yp[i] += h
-        ym[i] -= h
-        fd = (
-            problem.value(JointPoint(point.x, yp))
-            - problem.value(JointPoint(point.x, ym))
-        ) / (2 * h)
-        worst = max(worst, abs(fd - g.gy[i]) / max(abs(g.gy[i]), 1e-8))
-    return worst
+    return fd_rel_err(problem, point, problem.exact_grad(point), cx, cy, h)
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,15 @@ from pathlib import Path
 
 import numpy as np
 
-from gdakit import __version__
+from gdakit import __version__, diagnostics
 from gdakit.core import DivergenceError, GdakitError, RngStream
-from gdakit.diagnostics import LYAPUNOV_C, lyapunov
+from gdakit.diagnostics import LYAPUNOV_C, contraction_alpha_cap, lyapunov
 from gdakit.optimizers import DiagConfig, evals_per_step, init_state, rsgda_step
 
 # bound as `run`: bench/tracer.py times the run loop by wrapping commands.run
 from gdakit.optimizers import run_chains as run
 from gdakit.problems import Problem, check_oracle
-from gdakit.schedules import AdaPSchedule, optimal_p, p_max
+from gdakit.schedules import AdaPSchedule, optimal_p, p_max, step_constraints
 from gdakit.harness.config import (
     ConfigError,
     build_diag,
@@ -414,6 +414,31 @@ def cmd_pselect(cfg: dict, out_dir) -> dict:
     return summary
 
 
+def _sweep(problem, rng, scfg, *, points, scale, sweep, what, ok) -> dict:
+    """Run one certificate sweep on the config's points, drawn from rng as
+    one stack; returns the sweep's check.json fields.
+
+    Fails closed: fewer than one point, or a non-finite margin or residual,
+    fails the sweep with an error naming the cause (and the first such
+    point), and no non-finite number is written.
+    """
+    n_pts = int(scfg.get("points", points))
+    out: dict = {"points": n_pts}
+    if n_pts < 1:
+        return {**out, "passed": False, "error": f"points must be >= 1, got {n_pts}"}
+    rep = sweep(problem.random_points(rng, n_pts, float(scfg.get("scale", scale))))
+    # a descent sweep reports its smallest residual as the largest -residual
+    worst = rep.worst_margin if what == "margin" else -rep.worst_margin
+    if not math.isfinite(worst):
+        return {
+            **out,
+            "passed": False,
+            f"worst_{what}": None,
+            "error": f"non-finite {what} at point {rep.worst_index}",
+        }
+    return {**out, "passed": ok(worst), f"worst_{what}": worst}
+
+
 def cmd_check(cfg: dict, out_dir) -> dict:
     """Oracle and certificate audit of one problem; writes check.json.
 
@@ -463,61 +488,48 @@ def cmd_check(cfg: dict, out_dir) -> dict:
     if "contraction" in sweeps:
         scfg = sweeps["contraction"] or {}
         if problem.nash_point is None:
-            report["contraction"] = {
-                "passed": False,
-                "error": f"{problem.name}: no Nash point exposed",
-            }
-            report["passed"] = False
+            section = {"passed": False, "error": f"{problem.name}: no Nash point exposed"}
         else:
-            from gdakit.diagnostics import contraction_sweep
-
-            pc = problem.constants
             p = float(scfg.get("p", 0.5))
-            alpha_cap = (
-                2.0 * p * pc.mu / ((1.0 - p) * pc.l1**2) if p < 1 else math.inf
-            )
+            alpha_cap = contraction_alpha_cap(problem.constants, p)
             alpha = float(scfg.get("alpha", min(0.5 * alpha_cap, 1.0)))
-            prng = RngStream(seed, stream_id=6)
-            pts = [
-                problem.random_point(prng, scale=float(scfg.get("scale", 2.0)))
-                for _ in range(int(scfg.get("points", 50)))
-            ]
-            rep = contraction_sweep(problem, pts, alpha, p)
-            ok = rep.worst_margin <= 1e-12
-            report["contraction"] = {
-                "passed": ok,
-                "points": rep.count,
-                "alpha": alpha,
-                "p": p,
-                "worst_margin": rep.worst_margin,
-            }
-            report["passed"] = report["passed"] and ok
+            section = {"alpha": alpha, "p": p}
+            section.update(
+                _sweep(
+                    problem,
+                    RngStream(seed, stream_id=6),
+                    scfg,
+                    points=50,
+                    scale=2.0,
+                    sweep=lambda pts: diagnostics.contraction_sweep(problem, pts, alpha, p),
+                    what="margin",
+                    ok=lambda worst: worst <= 1e-12,
+                )
+            )
+        report["contraction"] = section
+        report["passed"] = report["passed"] and section["passed"]
 
     if "descent" in sweeps:
         scfg = sweeps["descent"] or {}
-        from gdakit.diagnostics import descent_check
-        from gdakit.schedules import step_constraints
-
         p = float(scfg.get("p", p_max(problem.constants)))
         sc = step_constraints(problem.constants, p)
         alpha = float(scfg.get("alpha", 0.5 * sc.alpha_max))
         eta = float(scfg.get("eta", sc.eta_hi))
-        prng = RngStream(seed, stream_id=7)
-        worst = math.inf
-        n_pts = int(scfg.get("points", 100))
-        for _ in range(n_pts):
-            pt = problem.random_point(prng, scale=float(scfg.get("scale", 1.0)))
-            worst = min(worst, descent_check(problem, pt, alpha, eta, p).residual)
-        ok = worst >= -1e-10
-        report["descent"] = {
-            "passed": ok,
-            "points": n_pts,
-            "alpha": alpha,
-            "eta": eta,
-            "p": p,
-            "worst_residual": worst,
-        }
-        report["passed"] = report["passed"] and ok
+        section = {"alpha": alpha, "eta": eta, "p": p}
+        section.update(
+            _sweep(
+                problem,
+                RngStream(seed, stream_id=7),
+                scfg,
+                points=100,
+                scale=1.0,
+                sweep=lambda pts: diagnostics.descent_sweep(problem, pts, alpha, eta, p),
+                what="residual",
+                ok=lambda worst: worst >= -1e-10,
+            )
+        )
+        report["descent"] = section
+        report["passed"] = report["passed"] and section["passed"]
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -90,12 +90,6 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
-def _listify(params: dict) -> dict:
-    """JSON arrays stay lists; numeric matrices convert lazily inside the
-    problem constructors, so nothing to do beyond a shallow copy."""
-    return dict(params)
-
-
 def build_problem(spec) -> Problem:
     if not isinstance(spec, dict):
         raise ConfigError("'problem' must be an object with 'name' and 'params'")
@@ -108,7 +102,7 @@ def build_problem(spec) -> Problem:
     if not isinstance(params, dict):
         raise ConfigError("problem.params must be an object")
     try:
-        return PROBLEM_BUILDERS[name](**_listify(params))
+        return PROBLEM_BUILDERS[name](**params)
     except TypeError as exc:
         raise ConfigError(f"problem '{name}': bad params: {exc}") from exc
     except GdakitError as exc:

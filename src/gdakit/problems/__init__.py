@@ -5,6 +5,7 @@ from .base import (
     Problem,
     ProblemConstants,
     check_oracle,
+    fd_rel_err,
     require_phi,
 )
 from .quadratic import (
@@ -25,6 +26,7 @@ __all__ = [
     "Problem",
     "ProblemConstants",
     "check_oracle",
+    "fd_rel_err",
     "require_phi",
     "make_bilinear",
     "make_ncpl_quadratic",

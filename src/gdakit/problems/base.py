@@ -20,6 +20,7 @@ from ..core import (
     ParameterError,
     RngStream,
     as_vec,
+    row_dot,
 )
 
 
@@ -114,8 +115,10 @@ class Problem:
     """Base class; concrete factories live in the sibling modules.
 
     Subclasses must implement value, exact_grad, draw_sample and
-    grad_with_sample, and may override grad_with_sample_batch with a
-    vectorized form whose rows match the per-point oracle. closed_phi /
+    grad_with_sample. The *_batch methods, draw_samples and random_points
+    are their stacked forms; the defaults loop over rows, and a subclass
+    may override them with vectorized forms whose rows match the per-point
+    methods bit for bit. closed_phi /
     nash_point / dist_to_opt stay None when the problem cannot support
     them. pl_condition is False for problems (bilinear coupling) whose
     inner maximization has no curvature, so phi-based diagnostics refuse
@@ -147,8 +150,13 @@ class Problem:
         """Unbiased gradient sample: one fresh draw, evaluated at point."""
         return self.grad_with_sample(point, self.draw_sample(rng))
 
+    def draw_samples(self, rng: RngStream, k: int):
+        """k fresh samples, leaving the stream where k draw_sample calls
+        leave it; item i of the result is the i-th of those samples."""
+        return [self.draw_sample(rng) for _ in range(k)]
+
     def grad_with_sample_batch(
-        self, x: np.ndarray, y: np.ndarray, samples: list
+        self, x: np.ndarray, y: np.ndarray, samples
     ) -> tuple[np.ndarray, np.ndarray]:
         """Sampled gradients at a stack of points: row i of x (S, m) and
         y (S, n) with samples[i]. Returns (gx (S, m), gy (S, n)), each row
@@ -159,16 +167,22 @@ class Problem:
         finiteness check on the iterates reports it. A row whose gradient is
         non-finite gets NaN gradients.
         """
-        gx = np.empty(x.shape)
-        gy = np.empty(y.shape)
-        for i, sample in enumerate(samples):
-            try:
-                g = self.grad_with_sample(JointPoint._view(x[i], y[i]), sample)
-            except ParameterError:  # GradSample found non-finite entries
-                gx[i], gy[i] = np.nan, np.nan
-                continue
-            gx[i], gy[i] = g.gx, g.gy
-        return gx, gy
+        return _rows(self.grad_with_sample, x, y, samples)
+
+    def exact_grad_batch(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """exact_grad at each row of x (S, m) and y (S, n), unvalidated like
+        grad_with_sample_batch (a non-finite row gets NaN)."""
+        return _rows(self.exact_grad, x, y)
+
+    def value_batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """value at each row of x (S, m) and y (S, n); shape (S,)."""
+        return np.array([self.value(JointPoint._view(xi, yi)) for xi, yi in zip(x, y)])
+
+    def closed_phi_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """closed_phi at each row of x (S, m): (phi (S,), y*(x) (S, n)).
+        Only for problems whose closed_phi is not None."""
+        rows = [self.closed_phi(xi) for xi in x]
+        return np.array([r[0] for r in rows]), np.stack([r[1] for r in rows])
 
     dist_to_opt = None  # optional callable point -> float
 
@@ -182,6 +196,35 @@ class Problem:
 
     def random_point(self, rng: RngStream, scale: float = 1.0) -> JointPoint:
         return JointPoint(rng.gauss(self.m, scale), rng.gauss(self.n, scale))
+
+    def random_points(
+        self, rng: RngStream, k: int, scale: float = 1.0
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """k random points as stacks x (k, m), y (k, n); row i is the i-th
+        of k random_point calls on the same stream. random_point draws
+        gauss(m) then gauss(n), so the k points are one (k, m+n) block split
+        per row. A subclass overriding random_point overrides this too."""
+        z = rng.gauss(k * (self.m + self.n), scale).reshape(k, self.m + self.n)
+        if not np.all(np.isfinite(z)):
+            raise ParameterError("random_points: non-finite entries")
+        return z[:, : self.m], z[:, self.m :]
+
+
+def _rows(grad, x: np.ndarray, y: np.ndarray, samples=None) -> tuple[np.ndarray, np.ndarray]:
+    """Stack grad(point) -> GradSample, or grad(point, samples[i]), over the
+    rows of x (S, m) and y (S, n); a row whose gradient is non-finite gets
+    NaN."""
+    gx = np.empty(x.shape)
+    gy = np.empty(y.shape)
+    for i in range(x.shape[0]):
+        point = JointPoint._view(x[i], y[i])
+        try:
+            g = grad(point) if samples is None else grad(point, samples[i])
+        except ParameterError:  # GradSample found non-finite entries
+            gx[i], gy[i] = np.nan, np.nan
+            continue
+        gx[i], gy[i] = g.gx, g.gy
+    return gx, gy
 
 
 @dataclass(frozen=True)
@@ -197,29 +240,41 @@ class OracleReport:
     details: dict = field(default_factory=dict)
 
 
-def _fd_value_grad(problem: Problem, point: JointPoint, coords_x, coords_y, h: float):
-    """Central finite differences of value() at selected coordinates."""
-    fx = np.empty(len(coords_x))
-    for j, i in enumerate(coords_x):
-        xp = point.x.copy()
-        xm = point.x.copy()
-        xp[i] += h
-        xm[i] -= h
-        fx[j] = (
-            problem.value(JointPoint(xp, point.y))
-            - problem.value(JointPoint(xm, point.y))
-        ) / (2 * h)
-    fy = np.empty(len(coords_y))
-    for j, i in enumerate(coords_y):
-        yp = point.y.copy()
-        ym = point.y.copy()
-        yp[i] += h
-        ym[i] -= h
-        fy[j] = (
-            problem.value(JointPoint(point.x, yp))
-            - problem.value(JointPoint(point.x, ym))
-        ) / (2 * h)
-    return fx, fy
+def fd_rel_err(
+    problem: Problem,
+    point: JointPoint,
+    grad: GradSample,
+    coords_x,
+    coords_y,
+    h: float,
+) -> float:
+    """Max relative error of grad against central differences of value()
+    at the selected coordinates of point.
+
+    The error at coordinate i is |fd_i - g_i| / max(|g_i|, 1e-8); NaN when
+    a difference is non-finite, 0.0 when no coordinate is selected. All
+    2 * (coordinates) shifted points go through one value_batch call.
+    """
+    cx = np.asarray(coords_x, dtype=np.intp)
+    cy = np.asarray(coords_y, dtype=np.intp)
+    k = len(cx) + len(cy)
+    x = np.tile(point.x, (2 * k, 1))
+    y = np.tile(point.y, (2 * k, 1))
+    # row j < k shifts coordinate j by +h, row k + j shifts it by -h
+    ix, iy = np.arange(len(cx)), np.arange(len(cx), k)
+    for shift, first in ((h, 0), (-h, k)):
+        x[first + ix, cx] += shift
+        y[first + iy, cy] += shift
+    v = problem.value_batch(x, y)
+    fd = (v[:k] - v[k:]) / (2 * h)
+    g = np.concatenate([grad.gx[cx], grad.gy[cy]])
+    rel = np.abs(fd - g) / np.maximum(np.abs(g), 1e-8)
+    return float(rel.max()) if rel.size else 0.0
+
+
+# draws per stacked oracle call in check_oracle: bounds the audit's memory
+# at O(chunk * dim) whatever the draw budget
+_AUDIT_CHUNK = 1024
 
 
 def check_oracle(
@@ -246,6 +301,14 @@ def check_oracle(
     Raises OracleViolation naming the failed check; returns worst-case
     margins otherwise.
 
+    The draws go through the batched oracle the optimizers use
+    (draw_samples, then grad_with_sample_batch on the probe point repeated
+    per row), in chunks of _AUDIT_CHUNK. Every sampled gradient must be
+    finite, and the first row at each point must equal grad_with_sample on
+    that sample exactly, so the audit covers both oracles. Moments are
+    summed in draw order, so every reported number is the one a loop over
+    single draws gives.
+
     trials is the total draw budget, split evenly across points (pre:
     trials >= 100). fd_coords, when set, limits (c) to a random coordinate
     subset per side, which keeps wide parameter spaces inside a time budget.
@@ -268,20 +331,41 @@ def check_oracle(
         exact_flat = np.concatenate([exact.gx, exact.gy])
         dim = exact_flat.shape[0]
 
-        # (a)+(b): accumulate MC moments without storing draws
+        # (a)+(b): MC moments, one stacked draw per chunk; the running sums
+        # enter each chunk's sum as its row 0, and axis-0 reductions and
+        # cumsum add in row order
         s1 = np.zeros(dim)
         s2 = np.zeros(dim)
         q1 = 0.0
         q2 = 0.0
-        for _ in range(per_point):
-            g = problem.grad_with_sample(point, problem.draw_sample(rng))
-            flat = np.concatenate([g.gx, g.gy])
-            s1 += flat
-            s2 += flat * flat
+        for start in range(0, per_point, _AUDIT_CHUNK):
+            k = min(_AUDIT_CHUNK, per_point - start)
+            samples = problem.draw_samples(rng, k)
+            gx, gy = problem.grad_with_sample_batch(
+                np.broadcast_to(point.x, (k, problem.m)),
+                np.broadcast_to(point.y, (k, problem.n)),
+                samples,
+            )
+            flat = np.concatenate([gx, gy], axis=1)
+            finite = np.isfinite(flat).all(axis=1)
+            if not finite.all():
+                raise OracleViolation(
+                    f"{problem.name}: non-finite sampled gradient at probe point "
+                    f"{pt_idx} (draw {start + int(np.argmin(finite))})"
+                )
+            if start == 0:
+                g0 = problem.grad_with_sample(point, samples[0])
+                if not (np.array_equal(g0.gx, gx[0]) and np.array_equal(g0.gy, gy[0])):
+                    raise OracleViolation(
+                        f"{problem.name}: batched oracle disagrees with "
+                        f"grad_with_sample at probe point {pt_idx} (draw 0)"
+                    )
+            s1 = np.add.reduce(np.concatenate([s1[None], flat]), axis=0)
+            s2 = np.add.reduce(np.concatenate([s2[None], flat * flat]), axis=0)
             d = flat - exact_flat
-            ns = float(d @ d)
-            q1 += ns
-            q2 += ns * ns
+            ns = row_dot(d, d)
+            q1 = float(np.cumsum(np.concatenate([[q1], ns]))[-1])
+            q2 = float(np.cumsum(np.concatenate([[q2], ns * ns]))[-1])
         mean = s1 / per_point
         var = np.maximum(s2 / per_point - mean * mean, 0.0)
 
@@ -316,12 +400,8 @@ def check_oracle(
             coords_y = np.arange(problem.n)
         else:
             coords_y = rng.integers(0, problem.n, size=fd_coords)
-        fdx, fdy = _fd_value_grad(problem, point, coords_x, coords_y, fd_step)
-        gx, gy = exact.gx[coords_x], exact.gy[coords_y]
-        denom = np.maximum(np.abs(np.concatenate([gx, gy])), 1e-8)
-        rel = np.abs(np.concatenate([fdx, fdy]) - np.concatenate([gx, gy])) / denom
-        fd_err = float(rel.max()) if rel.size else 0.0
-        if fd_err > fd_threshold:
+        fd_err = fd_rel_err(problem, point, exact, coords_x, coords_y, fd_step)
+        if not fd_err <= fd_threshold:
             raise OracleViolation(
                 f"{problem.name}: finite-difference check failed at probe point "
                 f"{pt_idx}: max relative error {fd_err:.3e} > {fd_threshold:.1e}"

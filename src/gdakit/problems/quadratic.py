@@ -13,15 +13,15 @@ Three factories:
 
 The stochastic oracle adds a state-independent Gaussian vector with total
 variance sigma^2 split across the joint dimension, so the variance bound is
-tight and exactly known. Gradients are written once, for one point or
-for a stack of points (one per row), so the batched oracle and the
-single-point oracle share their arithmetic.
+tight and exactly known. Gradients, values and the closed phi are
+written once, for one point or for a stack of points (one per row), so
+the batched and single-point forms share their arithmetic.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ..core import ConstructionError, DimensionError, ParameterError, RngStream
+from ..core import ConstructionError, DimensionError, ParameterError, RngStream, row_dot
 from .base import GradSample, JointPoint, Problem, ProblemConstants
 
 _PINV_CUTOFF = 1e-10
@@ -57,22 +57,49 @@ def _mv(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
 class _AdditiveNoiseProblem(Problem):
     """Analytic problem whose sampled gradient is exact + Gaussian noise.
 
-    Subclasses define _grads(x, y) -> (gx, gy) on one point (1-d x, y) or
-    on stacked rows (2-d), elementwise and through _mv only, so each row of
-    the stacked form is bit-identical to the single-point form.
+    Subclasses define _grads(x, y) -> (gx, gy) and _value(x, y) -> F, and
+    where phi has a closed form _phi(x) -> (phi, y*), each on one point
+    (1-d x, y) or on stacked rows (2-d), elementwise and through _mv and
+    row_dot only, so each row of the stacked form is bit-identical to the
+    single-point form.
     """
 
     def _grads(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
+    def _value(self, x: np.ndarray, y: np.ndarray):
+        raise NotImplementedError
+
+    def value(self, point: JointPoint) -> float:
+        return float(self._value(point.x, point.y))
+
+    def value_batch(self, x, y):
+        return self._value(x, y)
+
     def exact_grad(self, point: JointPoint) -> GradSample:
         return GradSample(*self._grads(point.x, point.y))
+
+    def exact_grad_batch(self, x, y):
+        return self._grads(x, y)
+
+    def closed_phi_batch(self, x):
+        return self._phi(x)
 
     def draw_sample(self, rng: RngStream):
         if self.constants.sigma == 0.0:
             return None
-        std = self.constants.sigma / np.sqrt(self.m + self.n)
-        return rng.gauss(self.m + self.n, std)
+        return rng.gauss(self.m + self.n, self._noise_std())
+
+    def draw_samples(self, rng: RngStream, k: int):
+        """k noise vectors as one (k, m+n) block: the stream fills it in
+        row order, so row i is the i-th of k draw_sample calls."""
+        if self.constants.sigma == 0.0:
+            return [None] * k
+        d = self.m + self.n
+        return rng.gauss(k * d, self._noise_std()).reshape(k, d)
+
+    def _noise_std(self) -> float:
+        return self.constants.sigma / np.sqrt(self.m + self.n)
 
     def grad_with_sample(self, point: JointPoint, sample) -> GradSample:
         g = self.exact_grad(point)
@@ -84,7 +111,7 @@ class _AdditiveNoiseProblem(Problem):
         gx, gy = self._grads(x, y)
         if samples[0] is None:  # sigma == 0 draws no noise for any row
             return gx, gy
-        z = np.stack(samples)
+        z = np.asarray(samples)
         return gx + z[:, : self.m], gy + z[:, self.m :]
 
 
@@ -112,10 +139,11 @@ class _ScscQuadratic(_AdditiveNoiseProblem):
         self.nash_point = JointPoint(np.zeros(m), np.zeros(n))
         self.metadata = {"a": self.a, "coupling_norm": b_norm}
 
-    def value(self, point: JointPoint) -> float:
-        x, y = point.x, point.y
-        return float(
-            0.5 * self.a * (x @ x) + x @ (self.b_mat @ y) - 0.5 * self.a * (y @ y)
+    def _value(self, x, y):
+        return (
+            0.5 * self.a * row_dot(x, x)
+            + row_dot(x, _mv(self.b_mat, y))
+            - 0.5 * self.a * row_dot(y, y)
         )
 
     def _grads(self, x, y):
@@ -123,10 +151,13 @@ class _ScscQuadratic(_AdditiveNoiseProblem):
 
     def closed_phi(self, x: np.ndarray):
         """phi(x) = (a/2)|x|^2 + |B'x|^2/(2a), maximizer y*(x) = B'x / a."""
-        x = np.asarray(x, dtype=np.float64)
-        bt_x = self.b_mat.T @ x
-        phi = 0.5 * self.a * (x @ x) + (bt_x @ bt_x) / (2.0 * self.a)
-        return float(phi), bt_x / self.a
+        phi, y_star = self._phi(np.asarray(x, dtype=np.float64))
+        return float(phi), y_star
+
+    def _phi(self, x):
+        bt_x = _mv(self.b_mat.T, x)
+        phi = 0.5 * self.a * row_dot(x, x) + row_dot(bt_x, bt_x) / (2.0 * self.a)
+        return phi, bt_x / self.a
 
     def dist_to_opt(self, point: JointPoint) -> float:
         return float(np.linalg.norm(point.joined()))
@@ -150,8 +181,8 @@ class _Bilinear(_AdditiveNoiseProblem):
         self.nash_point = JointPoint(np.zeros(m), np.zeros(n))
         self.metadata = {}
 
-    def value(self, point: JointPoint) -> float:
-        return float(point.x @ point.y)
+    def _value(self, x, y):
+        return row_dot(x, y)
 
     def _grads(self, x, y):
         return y.copy(), x.copy()
@@ -214,12 +245,17 @@ class _NcplQuadratic(_AdditiveNoiseProblem):
         self.name = "ncpl_quadratic"
         self.metadata = {"c": self.c, "rank_a": int(pos.sum())}
 
-    def _g(self, x: np.ndarray) -> float:
-        return float(0.5 * x @ (self.q @ x) + self.c * np.sin(x).sum())
+    def _g(self, x):
+        # 0.5 * x @ v parses as (0.5 * x) @ v (* and @ bind alike); kept so
+        # the bits do not move
+        return row_dot(0.5 * x, _mv(self.q, x)) + self.c * np.sin(x).sum(axis=-1)
 
-    def value(self, point: JointPoint) -> float:
-        x, y = point.x, point.y
-        return float(self._g(x) + y @ (self.b_mat @ x) - 0.5 * y @ (self.a_mat @ y))
+    def _value(self, x, y):
+        return (
+            self._g(x)
+            + row_dot(y, _mv(self.b_mat, x))
+            - row_dot(0.5 * y, _mv(self.a_mat, y))
+        )
 
     def _grads(self, x, y):
         gx = _mv(self.q, x) + self.c * np.cos(x) + _mv(self.b_mat.T, y)
@@ -228,8 +264,12 @@ class _NcplQuadratic(_AdditiveNoiseProblem):
 
     def closed_phi(self, x: np.ndarray):
         """phi(x) = g(x) + (1/2)(Bx)'A^+(Bx); maximizer y*(x) = A^+ B x."""
-        x = np.asarray(x, dtype=np.float64)
-        return float(self._g(x) + 0.5 * x @ (self.phi_quad @ x)), self.a_pinv @ (self.b_mat @ x)
+        phi, y_star = self._phi(np.asarray(x, dtype=np.float64))
+        return float(phi), y_star
+
+    def _phi(self, x):
+        phi = self._g(x) + row_dot(0.5 * x, _mv(self.phi_quad, x))
+        return phi, _mv(self.a_pinv, _mv(self.b_mat, x))
 
     def inner_argmax_dist(self, point: JointPoint) -> float:
         """Distance from y to the inner argmax set {y*(x) + ker(A)}."""

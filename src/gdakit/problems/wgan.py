@@ -151,6 +151,11 @@ class _GaussianWgan(Problem):
         w = mlp.init_params(self.arch, rng, scale=scale) + rng.gauss(self.n, 0.05 * scale)
         return JointPoint(theta, w)
 
+    def random_points(self, rng: RngStream, k: int, scale: float = 1.0):
+        """k probe points stacked, drawn one random_point at a time."""
+        pts = [self.random_point(rng, scale) for _ in range(k)]
+        return np.array([p.x for p in pts]), np.array([p.y for p in pts])
+
 
 def make_gaussian_wgan(
     mu_star=(0.5, -1.5),

@@ -28,17 +28,24 @@ class StepConstraints:
     eta_hi: float
     p: float
     kappa: float
+    p_max: float  # p_max(constants): the boundary p of the feasible region
 
     def eta_lo(self, alpha: float) -> float:
         if self.p >= 1.0:
             return 0.0  # no ascent steps are taken at p = 1
-        return 18.0 * self.kappa**2 * (self.p / (1.0 - self.p)) * alpha
+        lo = 18.0 * self.kappa**2 * (self.p / (1.0 - self.p)) * alpha
+        if self.p <= self.p_max and alpha <= self.alpha_max:
+            # lo <= eta_hi holds exactly here; rounding can leave the
+            # product an ulp above it at the boundary p = p_max
+            return min(lo, self.eta_hi)
+        return lo
 
     @property
     def feasible(self) -> bool:
         """True when some (alpha, eta) with alpha = alpha_max satisfies both
-        eta bounds; smaller alpha only widens the window."""
-        return self.eta_lo(self.alpha_max) <= self.eta_hi
+        eta bounds (smaller alpha only widens the window): exactly when
+        p <= p_max, or at p = 1, where no ascent steps are taken."""
+        return self.p >= 1.0 or self.p <= self.p_max
 
     def check(self, alpha: float, eta: float) -> list[str]:
         """List of violated bounds (empty when the pair is admissible)."""
@@ -67,6 +74,7 @@ def step_constraints(constants: ProblemConstants, p: float) -> StepConstraints:
         eta_hi=1.0 / constants.l1,
         p=p,
         kappa=constants.kappa,
+        p_max=p_max(constants),
     )
 
 
