@@ -71,20 +71,6 @@ def check_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
     return a
 
 
-def dot(a, b) -> float:
-    """Inner product of two equal-length vectors."""
-    va, vb = as_vec(a, what="dot lhs"), as_vec(b, what="dot rhs")
-    if va.shape != vb.shape:
-        raise DimensionError(f"dot: length mismatch {va.shape[0]} vs {vb.shape[0]}")
-    return float(va @ vb)
-
-
-def norm2(a) -> float:
-    """Euclidean norm."""
-    va = as_vec(a, what="norm2 arg")
-    return float(np.linalg.norm(va))
-
-
 def row_dot(a: np.ndarray, b: np.ndarray):
     """a @ b for two vectors, or the dot of each row pair of two stacks (S, k).
 
@@ -145,7 +131,3 @@ class RngStream:
     def integers(self, low: int, high: int | None = None, size=None) -> np.ndarray:
         return self._gen.integers(low, high, size=size)
 
-
-def gauss_vec(rng: RngStream, dim: int, std: float) -> np.ndarray:
-    """Draw an i.i.d. Gaussian vector from the stream (see RngStream.gauss)."""
-    return rng.gauss(dim, std)

@@ -120,22 +120,54 @@ def phi_inner(
     )
 
 
-def _phi_and_maximizer(
+def phi_rows(
     problem: Problem,
-    point: JointPoint,
+    x: np.ndarray,
+    y: np.ndarray,
     inner_tol: float | None,
     inner_budget: int,
-) -> tuple[float, np.ndarray, bool]:
-    """(phi(x), y*(x), certified) via closed form or inner ascent."""
+    f: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(phi (S,), y*(x) (S, n)) at each row of x (S, m), y (S, n): one
+    closed_phi_batch call, or else a certified inner ascent per row from
+    that row's y. The ascent's default tolerance is relative,
+    1e-8 * max(1, |F(x, y)|), which keeps the certificate meaningful across
+    scales; f, when given, holds the rows' values F(x, y) for it."""
     require_phi(problem)
     if problem.closed_phi is not None:
-        phi, y_star = problem.closed_phi(point.x)
-        return phi, y_star, True
-    if inner_tol is None:
-        # relative default keeps the certificate meaningful across scales
-        inner_tol = 1e-8 * max(1.0, abs(problem.value(point)))
-    est = phi_inner(problem, point.x, point.y, inner_tol, inner_budget)
-    return est.phi, est.y_hat, est.converged
+        return problem.closed_phi_batch(x)
+    if inner_tol is None and f is None:
+        f = problem.value_batch(x, y)
+    ests = [
+        phi_inner(
+            problem,
+            x[i],
+            y[i],
+            1e-8 * max(1.0, abs(float(f[i]))) if inner_tol is None else inner_tol,
+            inner_budget,
+        )
+        for i in range(len(x))
+    ]
+    return np.array([e.phi for e in ests]), np.stack([e.y_hat for e in ests])
+
+
+def h_rows(
+    constants: ProblemConstants, gx: np.ndarray, gy: np.ndarray, g_star: np.ndarray
+) -> np.ndarray:
+    """h per row from the exact gradient (gx, gy) at each point and
+    g_star = grad_x F(x, y*(x)), all stacked by row; see the module
+    docstring for the weights."""
+    w_phi, w_gy, w_gx = H_WEIGHTS
+    return (
+        w_phi * row_dot(g_star, g_star)
+        + w_gy * constants.kappa**2 * row_dot(gy, gy)
+        + w_gx * row_dot(gx, gx)
+    )
+
+
+def merit_rows(phi: np.ndarray, f: np.ndarray, c: float) -> np.ndarray:
+    """V = phi + c (phi - F) per row."""
+    return phi + c * (phi - f)
 
 
 def h_metric(
@@ -148,19 +180,15 @@ def h_metric(
     """Efficiency metric h(x, y); see module docstring for the weights.
 
     grad phi(x) is evaluated as grad_x F(x, y*(x)) at the closed-form or
-    ascent-certified inner maximizer.
+    ascent-certified inner maximizer. This is the one-point use of the
+    stacked formula h_rows.
     """
     problem.check_point(point)
-    _, y_star, _ = _phi_and_maximizer(problem, point, inner_tol, inner_budget)
-    g_at_star = problem.exact_grad(JointPoint(point.x, y_star))
-    g_here = problem.exact_grad(point)
-    w_phi, w_gy, w_gx = H_WEIGHTS
-    kappa2 = problem.constants.kappa ** 2
-    return float(
-        w_phi * (g_at_star.gx @ g_at_star.gx)
-        + w_gy * kappa2 * (g_here.gy @ g_here.gy)
-        + w_gx * (g_here.gx @ g_here.gx)
-    )
+    x, y = point.x[None], point.y[None]
+    _, y_star = phi_rows(problem, x, y, inner_tol, inner_budget)
+    gx, gy = problem.exact_grad_batch(x, y)
+    g_star = problem.exact_grad_batch(x, y_star)[0]
+    return float(h_rows(problem.constants, gx, gy, g_star)[0])
 
 
 def lyapunov(
@@ -171,12 +199,15 @@ def lyapunov(
     inner_tol: float | None = None,
     inner_budget: int = 10_000,
 ) -> float:
-    """Merit value V(x,y) = phi(x) + c*(phi(x) - F(x,y))."""
+    """Merit value V(x,y) = phi(x) + c*(phi(x) - F(x,y)); the one-point use
+    of the stacked formula merit_rows."""
     if c < 0:
         raise ParameterError(f"lyapunov: c must be >= 0, got {c}")
     problem.check_point(point)
-    phi, _, _ = _phi_and_maximizer(problem, point, inner_tol, inner_budget)
-    return float(phi + c * (phi - problem.value(point)))
+    x, y = point.x[None], point.y[None]
+    f = problem.value_batch(x, y)
+    phi, _ = phi_rows(problem, x, y, inner_tol, inner_budget, f)
+    return float(merit_rows(phi, f, c)[0])
 
 
 class ContractionReport(NamedTuple):
@@ -307,23 +338,17 @@ class DescentReport:
 
 
 def _descent_terms(problem, x, y, alpha, eta, p, c):
-    """(lhs, rhs) of the descent inequality per row of x (S, m), y (S, n):
-    the arithmetic of lyapunov and h_metric on a closed phi, stacked."""
+    """(lhs, rhs) of the descent inequality per row of x (S, m), y (S, n),
+    from the stacked h and V formulas on a closed phi."""
     gx, gy = problem.exact_grad_batch(x, y)
     phi, y_star = problem.closed_phi_batch(x)
-    v_here = phi + c * (phi - problem.value_batch(x, y))
+    v_here = merit_rows(phi, problem.value_batch(x, y), c)
     x_step = x - alpha * gx
     phi_x, _ = problem.closed_phi_batch(x_step)
-    v_x = phi_x + c * (phi_x - problem.value_batch(x_step, y))
-    v_y = phi + c * (phi - problem.value_batch(x, y + eta * gy))
+    v_x = merit_rows(phi_x, problem.value_batch(x_step, y), c)
+    v_y = merit_rows(phi, problem.value_batch(x, y + eta * gy), c)
     lhs = v_here - (p * v_x + (1.0 - p) * v_y)
-    g_star = problem.exact_grad_batch(x, y_star)[0]
-    w_phi, w_gy, w_gx = H_WEIGHTS
-    h = (
-        w_phi * row_dot(g_star, g_star)
-        + w_gy * problem.constants.kappa**2 * row_dot(gy, gy)
-        + w_gx * row_dot(gx, gx)
-    )
+    h = h_rows(problem.constants, gx, gy, problem.exact_grad_batch(x, y_star)[0])
     return lhs, p * alpha * h
 
 

@@ -26,8 +26,12 @@ from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
 
-from .core import DivergenceError, ParameterError, RngStream
-from .diagnostics import TraceRecord, h_metric, lyapunov
+from .core import DivergenceError, ParameterError, RngStream, row_dot
+from .diagnostics import LYAPUNOV_C, TraceRecord, h_rows, merit_rows, phi_rows
+
+# the one-point metrics stay bound here by name: bench/tracer.py wraps
+# optimizers.h_metric and optimizers.lyapunov
+from .diagnostics import h_metric, lyapunov  # noqa: F401
 from .problems import JointPoint, Problem
 from .schedules import StepPlan, require_feasible
 
@@ -293,29 +297,70 @@ def evals_per_step(kind: OptKind) -> int | None:
 
 _METRIC_KEYS = ("grad_x_norm", "grad_y_norm", "h", "v", "dist", "loss")
 
+# logged rows per stacked metric pass in run_chains: bounds the buffered
+# iterates at O(block * dim) whatever the run length
+_LOG_BLOCK = 1024
 
-def _metrics(problem: Problem, point: JointPoint, diag: DiagConfig) -> dict:
+
+def _trace_metrics(
+    problem: Problem, x: np.ndarray, y: np.ndarray, diag: DiagConfig
+) -> list[dict]:
+    """The logged metrics of each row of x (S, m), y (S, n): one dict per
+    row, a float per metric key (None for a metric that is off).
+
+    One stacked pass: each exact gradient, phi and F is computed once for
+    all rows and shared between the metrics that use it, and every row
+    equals h_metric, lyapunov, the norm of exact_grad and value at that
+    point alone. Problems without a closed phi run their inner ascent row
+    by row; dist is one dist_to_opt call per row."""
     out: dict = dict.fromkeys(_METRIC_KEYS)
-    if diag.grad_norms:
-        g = problem.exact_grad(point)
-        out["grad_x_norm"] = float(np.linalg.norm(g.gx))
-        out["grad_y_norm"] = float(np.linalg.norm(g.gy))
     can_phi = problem.pl_condition and (
         problem.closed_phi is not None or diag.inner_budget > 0
     )
-    if diag.h and can_phi:
-        out["h"] = h_metric(
-            problem, point, inner_tol=diag.inner_tol, inner_budget=diag.inner_budget
-        )
-    if diag.v and can_phi:
-        out["v"] = lyapunov(
-            problem, point, inner_tol=diag.inner_tol, inner_budget=diag.inner_budget
-        )
+    want_h, want_v = diag.h and can_phi, diag.v and can_phi
+    if diag.grad_norms or want_h:
+        gx, gy = problem.exact_grad_batch(x, y)
+    if diag.grad_norms:
+        # np.linalg.norm(v) is sqrt(v.dot(v)), which row_dot matches per row
+        out["grad_x_norm"] = np.sqrt(row_dot(gx, gx)).tolist()
+        out["grad_y_norm"] = np.sqrt(row_dot(gy, gy)).tolist()
+    f = problem.value_batch(x, y) if want_v or diag.loss else None
+    if want_h or want_v:
+        phi, y_star = phi_rows(problem, x, y, diag.inner_tol, diag.inner_budget, f)
+    if want_h:
+        g_star = problem.exact_grad_batch(x, y_star)[0]
+        out["h"] = h_rows(problem.constants, gx, gy, g_star).tolist()
+    if want_v:
+        out["v"] = merit_rows(phi, f, LYAPUNOV_C).tolist()
     if diag.dist and problem.dist_to_opt is not None:
-        out["dist"] = float(problem.dist_to_opt(point))
+        out["dist"] = [
+            float(problem.dist_to_opt(JointPoint._view(xi, yi))) for xi, yi in zip(x, y)
+        ]
     if diag.loss:
-        out["loss"] = float(problem.value(point))
-    return out
+        out["loss"] = f.tolist()
+    cols = [[None] * len(x) if out[key] is None else out[key] for key in _METRIC_KEYS]
+    return [dict(zip(_METRIC_KEYS, row)) for row in zip(*cols)]
+
+
+def _flush(problem: Problem, diag: DiagConfig, pending: list, records: list) -> None:
+    """Compute the metrics of every buffered logged step in one stacked
+    pass over their rows, append each chain's TraceRecords in step order,
+    and empty the buffer."""
+    if not pending:
+        return
+    s = len(records)
+    rows = _trace_metrics(
+        problem,
+        np.concatenate([entry[0] for entry in pending]),
+        np.concatenate([entry[1] for entry in pending]),
+        diag,
+    )
+    for j, (_, _, k, branch, alpha, eta, p) in enumerate(pending):
+        for i in range(s):
+            records[i].append(
+                TraceRecord(k=k, branch=branch[i], alpha=alpha, eta=eta, p=p, **rows[j * s + i])
+            )
+    pending.clear()
 
 
 def run_chains(
@@ -343,10 +388,13 @@ def run_chains(
     always after the last one. A row carries the post-step iterate's
     metrics, the branch taken by the step that produced it, and that step's
     plan values, so summary statistics (min h, final metrics) are
-    recomputable from the trace alone. For the randomized single-sample
-    method the plan is validated against the step-size constraints unless
-    waive_constraints is set; other kinds carry no such certificate and only
-    need positive steps.
+    recomputable from the trace alone. The logged iterates are buffered and
+    their metrics computed in one stacked pass per _LOG_BLOCK rows, after
+    the last step and before a DivergenceError; each row's values equal
+    h_metric, lyapunov, value and the norms of exact_grad at that point.
+    For the randomized single-sample method the plan is validated against
+    the step-size constraints unless waive_constraints is set; other kinds
+    carry no such certificate and only need positive steps.
 
     Inputs are validated once, here; inside the loop the iterates are raw
     arrays with one finiteness check per step, and numpy overflow warnings
@@ -376,6 +424,9 @@ def run_chains(
     y_steps = np.zeros(s, dtype=np.int64)
     warnings: list[list[str]] = [[] for _ in range(s)]
     records: list[list[TraceRecord]] = [[] for _ in range(s)]
+    # logged steps whose metrics are not computed yet: (x, y, k, branch,
+    # alpha, eta, p), flushed as one stacked pass per _LOG_BLOCK rows
+    pending: list[tuple] = []
     # overflow surfaces as the non-finite iterate the check below reports,
     # or as an inf metric of a huge but finite iterate, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -385,6 +436,7 @@ def run_chains(
             out = kind.step(problem, x, y, rngs, alpha, eta, p, k)
             x, y = out.x, out.y
             if not (np.isfinite(x).all() and np.isfinite(y).all()):
+                _flush(problem, diag, pending, records)
                 finite = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
                 i = min(np.flatnonzero(~finite), key=lambda j: rngs[j].base_seed)
                 seed = rngs[i].base_seed
@@ -401,13 +453,12 @@ def run_chains(
             for i, msg in out.warnings:
                 warnings[i].append(msg)
             if (k + 1) % diag.interval == 0 or k + 1 == iters:
-                for i in range(s):
-                    met = _metrics(problem, JointPoint._view(x[i], y[i]), diag)
-                    records[i].append(
-                        TraceRecord(
-                            k=k + 1, branch=out.branch[i], alpha=alpha, eta=eta, p=p, **met
-                        )
-                    )
+                pending.append((x, y, k + 1, out.branch, alpha, eta, p))
+                if len(pending) * s >= _LOG_BLOCK:
+                    _flush(problem, diag, pending, records)
+        _flush(problem, diag, pending, records)
+        # no step logged (iters == 0): the summary reports the initial points
+        initial = None if iters else _trace_metrics(problem, x, y, diag)
 
     results = []
     for i in range(s):
@@ -416,7 +467,7 @@ def run_chains(
         if recs:
             final_metrics = {key: getattr(recs[-1], key) for key in _METRIC_KEYS}
         else:
-            final_metrics = _metrics(problem, final, diag)
+            final_metrics = initial[i]
         logged_h = [r.h for r in recs if r.h is not None]
         summary = {
             "kind": kind.tag,
