@@ -65,12 +65,6 @@ def as_vec(values, *, what: str = "vector") -> np.ndarray:
     return a
 
 
-def check_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
-    if not np.all(np.isfinite(a)):
-        raise ParameterError(f"{what}: non-finite entries")
-    return a
-
-
 def row_dot(a: np.ndarray, b: np.ndarray):
     """a @ b for two vectors, or the dot of each row pair of two stacks (S, k).
 
@@ -102,10 +96,6 @@ class RngStream:
             dtype=np.uint64,
         )
         self._gen = np.random.Generator(np.random.Philox(key=key))
-
-    def child(self, stream_id: int) -> "RngStream":
-        """Fresh independent stream under the same base seed."""
-        return RngStream(self.base_seed, stream_id)
 
     def gauss(self, dim: int, std: float = 1.0) -> np.ndarray:
         """i.i.d. N(0, std^2) vector; std = 0 returns zeros without consuming state."""

@@ -24,7 +24,7 @@ per-point assertions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -50,7 +50,10 @@ class CertificateViolation(GdakitError):
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One logged optimizer step; optional fields stay None when disabled."""
+    """One logged optimizer step; optional fields stay None when disabled.
+
+    The field order is the trace CSV's column order, and the fields with a
+    None default are the logged metrics (METRIC_KEYS)."""
 
     k: int
     branch: str  # 'x', 'y', or 'both'
@@ -60,9 +63,46 @@ class TraceRecord:
     grad_x_norm: float | None = None
     grad_y_norm: float | None = None
     h: float | None = None
-    v: float | None = None
+    v: float | None = field(default=None, metadata={"column": "V"})
     dist: float | None = None
     loss: float | None = None
+
+
+METRIC_KEYS = tuple(f.name for f in fields(TraceRecord) if f.default is None)
+
+
+def inner_ascent(
+    problem: Problem, x: np.ndarray, y: np.ndarray, tol: float, max_iters: int
+) -> tuple[np.ndarray, bool, int]:
+    """Exact gradient ascent in y from (x, y) with step 1/l1 until the inner
+    gap max_y F(x, .) - F(x, y) is certified <= tol; returns (y, certified,
+    ascent steps).
+
+    The certificate is phi(x) - F(x, y) when a closed phi exists (phi is
+    computed once), else |grad_y F|^2 / (2 mu), which bounds the gap under
+    gradient domination and comes from the gradient the step uses. The
+    iterate reached at the budget is checked too; certified=False flags
+    budget exhaustion.
+    """
+    step = 1.0 / problem.constants.l1
+    two_mu = 2.0 * problem.constants.mu
+    phi = None if problem.closed_phi is None else problem.closed_phi(x)[0]
+    steps = 0
+    while True:
+        point = JointPoint(x, y)
+        if phi is None:
+            gy = problem.exact_grad(point).gy
+            gap = float(gy @ gy) / two_mu
+        else:
+            gap = phi - problem.value(point)
+        if gap <= tol:
+            return y, True, steps
+        if steps >= max_iters:
+            return y, False, steps
+        if phi is not None:
+            gy = problem.exact_grad(point).gy
+        y = y + step * gy
+        steps += 1
 
 
 @dataclass(frozen=True)
@@ -71,7 +111,6 @@ class PhiEstimate:
     y_hat: np.ndarray
     converged: bool
     iters: int
-    grad_sq: float
 
 
 def phi_inner(
@@ -81,43 +120,15 @@ def phi_inner(
     tol: float,
     max_iters: int = 10_000,
 ) -> PhiEstimate:
-    """Estimate phi(x) by exact gradient ascent in y with step 1/l1.
-
-    Stops once |grad_y F|^2 / (2 mu) <= tol, which certifies
-    max_y F - F(x, y_hat) <= tol under gradient domination. converged=False
-    flags budget exhaustion (the estimate is then a lower bound of
-    uncertified accuracy).
-    """
+    """Estimate phi(x) as F(x, y_hat) at the end point y_hat of
+    inner_ascent from y0. converged=False flags budget exhaustion (the
+    estimate is then a lower bound of uncertified accuracy)."""
     require_phi(problem)
     if tol <= 0:
         raise ParameterError(f"phi_inner: tol must be > 0, got {tol}")
-    c = problem.constants
-    step = 1.0 / c.l1
-    y = np.asarray(y0, dtype=np.float64).copy()
-    gap_bound = math.inf
-    it = 0
-    for it in range(1, max_iters + 1):
-        gy = problem.exact_grad(JointPoint(x, y)).gy
-        gsq = float(gy @ gy)
-        gap_bound = gsq / (2.0 * c.mu)
-        if gap_bound <= tol:
-            # it - 1 ascent steps were taken before this certificate
-            return PhiEstimate(
-                phi=problem.value(JointPoint(x, y)),
-                y_hat=y,
-                converged=True,
-                iters=it - 1,
-                grad_sq=gsq,
-            )
-        y = y + step * gy
-    gy = problem.exact_grad(JointPoint(x, y)).gy
-    return PhiEstimate(
-        phi=problem.value(JointPoint(x, y)),
-        y_hat=y,
-        converged=False,
-        iters=max_iters,
-        grad_sq=float(gy @ gy),
-    )
+    y0 = np.array(y0, dtype=np.float64)
+    y, converged, iters = inner_ascent(problem, x, y0, tol, max_iters)
+    return PhiEstimate(problem.value(JointPoint(x, y)), y, converged, iters)
 
 
 def phi_rows(

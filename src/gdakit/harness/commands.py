@@ -10,14 +10,15 @@ a seed's outputs do not depend on which other seeds share the command.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from gdakit import __version__, diagnostics
 from gdakit.core import DivergenceError, GdakitError, RngStream
-from gdakit.diagnostics import LYAPUNOV_C, contraction_alpha_cap, lyapunov
-from gdakit.optimizers import DiagConfig, evals_per_step, init_state, rsgda_step
+from gdakit.diagnostics import LYAPUNOV_C, METRIC_KEYS, contraction_alpha_cap, lyapunov
+from gdakit.optimizers import init_state, rsgda_step
 
 # bound as `run`: bench/tracer.py times the run loop by wrapping commands.run
 from gdakit.optimizers import run_chains as run
@@ -43,16 +44,7 @@ from gdakit.harness.io import (
 
 DIVERGENCE_CAP = 1e12
 
-_AGG_KEYS = (
-    "final_dist",
-    "final_h",
-    "final_v",
-    "final_loss",
-    "min_h",
-    "final_grad_x_norm",
-    "final_grad_y_norm",
-    "grad_evals",
-)
+_AGG_KEYS = (*(f"final_{m}" for m in METRIC_KEYS), "min_h", "grad_evals")
 
 
 def _aggregate(summaries: list[dict], keys=_AGG_KEYS) -> dict:
@@ -124,9 +116,6 @@ def cmd_run(
     return summary
 
 
-_COMPARE_METRICS = ("grad_x_norm", "grad_y_norm", "h", "v", "dist", "loss")
-
-
 def _compare_series(cfg: dict, constants):
     raw = cfg.get("series")
     if not isinstance(raw, list) or not raw:
@@ -137,7 +126,7 @@ def _compare_series(cfg: dict, constants):
         if not isinstance(entry, dict):
             raise ConfigError(f"series[{i}] must be an object")
         kind = build_optimizer(entry.get("optimizer"))
-        if evals_per_step(kind) is None:
+        if kind.evals_per_step is None:
             raise ConfigError(
                 "compare aligns series by cumulative gradient evaluations; "
                 "sgdmax has no fixed per-step cost, so it cannot be compared "
@@ -184,13 +173,13 @@ def cmd_compare(
     if (
         not isinstance(metrics, list)
         or not metrics
-        or any(m not in _COMPARE_METRICS for m in metrics)
+        or any(m not in METRIC_KEYS for m in metrics)
     ):
         raise ConfigError(
-            f"'metrics' must be a non-empty subset of {list(_COMPARE_METRICS)}"
+            f"'metrics' must be a non-empty subset of {list(METRIC_KEYS)}"
         )
 
-    eps = [evals_per_step(kind) for _, kind, _ in series]
+    eps = [kind.evals_per_step for _, kind, _ in series]
     lcm = math.lcm(*eps)
     rows_target = cfg.get("checkpoints", 50)
     if not isinstance(rows_target, int) or rows_target < 1:
@@ -205,20 +194,17 @@ def cmd_compare(
     budget_used = (budget // stride) * stride
     n_rows = budget_used // stride
 
-    dcfg = cfg.get("diag", {}) or {}
-    diag_by_series = [
-        DiagConfig(
-            interval=stride // e,
-            grad_norms="grad_x_norm" in metrics or "grad_y_norm" in metrics,
-            h="h" in metrics,
-            v="v" in metrics,
-            dist="dist" in metrics,
-            loss="loss" in metrics,
-            inner_tol=dcfg.get("inner_tol"),
-            inner_budget=int(dcfg.get("inner_budget", 10_000)),
-        )
-        for e in eps
-    ]
+    # metrics picks what is logged and the stride how often; of the diag
+    # block only inner_tol and inner_budget apply
+    diag = replace(
+        build_diag(cfg.get("diag")),
+        grad_norms="grad_x_norm" in metrics or "grad_y_norm" in metrics,
+        h="h" in metrics,
+        v="v" in metrics,
+        dist="dist" in metrics,
+        loss="loss" in metrics,
+    )
+    diag_by_series = [replace(diag, interval=stride // e) for e in eps]
 
     inits = [build_init(cfg.get("init"), problem, seed) for seed in seeds]
     by_series = []
@@ -264,7 +250,7 @@ def cmd_compare(
             for res in res_list:
                 rec = res.records[j]
                 row.append(rec.k)
-                row.extend(getattr(rec, "v" if m == "v" else m) for m in metrics)
+                row.extend(getattr(rec, m) for m in metrics)
             rows.append(row)
         fname = f"compare_seed{seed}.csv"
         write_table_csv(out_dir / fname, header, rows, config_hash=chash)

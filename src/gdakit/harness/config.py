@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 
@@ -216,38 +217,32 @@ def build_init(spec, problem: Problem, seed: int) -> JointPoint:
 
 
 def build_diag(spec) -> DiagConfig:
+    """The 'diag' block: any DiagConfig field, each a JSON number or boolean
+    coerced to the type of its default (inner_tol, default None, to a float
+    when given)."""
     if spec is None:
         spec = {}
     if not isinstance(spec, dict):
         raise ConfigError("'diag' must be an object")
-    allowed = {
-        "interval",
-        "grad_norms",
-        "h",
-        "v",
-        "dist",
-        "loss",
-        "inner_tol",
-        "inner_budget",
-    }
-    bad = set(spec) - allowed
+    allowed = {f.name: f.default for f in fields(DiagConfig)}
+    bad = set(spec) - set(allowed)
     if bad:
         raise ConfigError(
             f"diag: unknown keys {sorted(bad)}; valid keys: {sorted(allowed)}"
         )
+
+    def coerce(key, raw):
+        if isinstance(raw, str):
+            raise TypeError(f"{key} must not be a string, got {raw!r}")
+        default = allowed[key]
+        if default is None:
+            return None if raw is None else float(raw)
+        return type(default)(raw)
+
     try:
-        return DiagConfig(
-            interval=int(spec.get("interval", 1)),
-            grad_norms=bool(spec.get("grad_norms", True)),
-            h=bool(spec.get("h", False)),
-            v=bool(spec.get("v", False)),
-            dist=bool(spec.get("dist", True)),
-            loss=bool(spec.get("loss", False)),
-            inner_tol=None
-            if spec.get("inner_tol") is None
-            else float(spec["inner_tol"]),
-            inner_budget=int(spec.get("inner_budget", 10_000)),
-        )
+        return DiagConfig(**{key: coerce(key, raw) for key, raw in spec.items()})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"diag: bad value: {exc}") from exc
     except ParameterError as exc:
         raise ConfigError(f"diag: {exc}") from exc
 

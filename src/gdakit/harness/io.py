@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -17,19 +19,10 @@ import numpy as np
 from gdakit.core import GdakitError
 from gdakit.diagnostics import TraceRecord
 
-TRACE_COLUMNS = (
-    "k",
-    "branch",
-    "alpha",
-    "eta",
-    "p",
-    "grad_x_norm",
-    "grad_y_norm",
-    "h",
-    "V",
-    "dist",
-    "loss",
-)
+TRACE_COLUMNS = tuple(f.metadata.get("column", f.name) for f in fields(TraceRecord))
+
+# the float-valued fields after k and branch, in column order
+_FLOATS = attrgetter(*(f.name for f in fields(TraceRecord)[2:]))
 
 
 class TraceFormatError(GdakitError):
@@ -52,21 +45,7 @@ def write_trace_csv(path, records: list[TraceRecord], config_hash: str | None = 
         wr = csv.writer(fh)
         wr.writerow(TRACE_COLUMNS)
         for r in records:
-            wr.writerow(
-                [
-                    str(r.k),
-                    r.branch,
-                    _fmt(r.alpha),
-                    _fmt(r.eta),
-                    _fmt(r.p),
-                    _fmt(r.grad_x_norm),
-                    _fmt(r.grad_y_norm),
-                    _fmt(r.h),
-                    _fmt(r.v),
-                    _fmt(r.dist),
-                    _fmt(r.loss),
-                ]
-            )
+            wr.writerow([str(r.k), r.branch, *map(_fmt, _FLOATS(r))])
 
 
 def read_trace_csv(path) -> tuple[list[TraceRecord], str | None]:
@@ -88,21 +67,7 @@ def read_trace_csv(path) -> tuple[list[TraceRecord], str | None]:
         if len(row) != len(TRACE_COLUMNS):
             raise TraceFormatError(f"{path}: row has {len(row)} cells: {row}")
         try:
-            records.append(
-                TraceRecord(
-                    k=int(row[0]),
-                    branch=row[1],
-                    alpha=_parse(row[2]),
-                    eta=_parse(row[3]),
-                    p=_parse(row[4]),
-                    grad_x_norm=_parse(row[5]),
-                    grad_y_norm=_parse(row[6]),
-                    h=_parse(row[7]),
-                    v=_parse(row[8]),
-                    dist=_parse(row[9]),
-                    loss=_parse(row[10]),
-                )
-            )
+            records.append(TraceRecord(int(row[0]), row[1], *map(_parse, row[2:])))
         except ValueError as exc:
             raise TraceFormatError(f"{path}: bad cell in row {row}: {exc}") from exc
     return records, cfg_hash

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionError, ParameterError, RngStream, check_finite
+from .core import DimensionError, ParameterError, RngStream
 
 _ACTIVATIONS = ("tanh", "relu")
 
@@ -169,21 +169,3 @@ def backward(
     pg, ig = backward_batch(arch, params, xv[None, :], gv[None, :])
     return pg, ig[0]
 
-
-def save_params(path, params: np.ndarray) -> None:
-    """One value per line, full float64 round-trip precision."""
-    arr = check_finite(np.asarray(params, dtype=np.float64), "params")
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in arr.ravel():
-            fh.write(repr(float(v)) + "\n")
-
-
-def load_params(path) -> np.ndarray:
-    """Inverse of save_params; lines starting with '#' are ignored."""
-    with open(path, "r", encoding="utf-8") as fh:
-        vals = [
-            float(line)
-            for line in fh
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
-    return np.asarray(vals, dtype=np.float64)

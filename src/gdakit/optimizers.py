@@ -27,7 +27,15 @@ from typing import ClassVar, NamedTuple, Union
 import numpy as np
 
 from .core import DivergenceError, ParameterError, RngStream, row_dot
-from .diagnostics import LYAPUNOV_C, TraceRecord, h_rows, merit_rows, phi_rows
+from .diagnostics import (
+    LYAPUNOV_C,
+    METRIC_KEYS,
+    TraceRecord,
+    h_rows,
+    inner_ascent,
+    merit_rows,
+    phi_rows,
+)
 
 # the one-point metrics stay bound here by name: bench/tracer.py wraps
 # optimizers.h_metric and optimizers.lyapunov
@@ -90,31 +98,14 @@ class SgdMax:
         if self.inner_max_iters < 1:
             raise ParameterError("SgdMax: inner_max_iters must be >= 1")
 
-    def _ascend(self, problem: Problem, x: np.ndarray, y: np.ndarray):
-        """Exact ascent in y from one chain's (x, y) until the inner gap is
-        certified <= delta; returns (y, certified, ascent steps)."""
-        c = problem.constants
-        step = 1.0 / c.l1
-
-        def gap_ok(yv: np.ndarray) -> bool:
-            if problem.closed_phi is not None:
-                phi, _ = problem.closed_phi(x)
-                return phi - problem.value(JointPoint(x, yv)) <= self.delta
-            gy = problem.exact_grad(JointPoint(x, yv)).gy
-            return float(gy @ gy) / (2.0 * c.mu) <= self.delta
-
-        inner = 0
-        while inner < self.inner_max_iters:
-            if gap_ok(y):
-                return y, True, inner
-            y = y + step * problem.exact_grad(JointPoint(x, y)).gy
-            inner += 1
-        return y, gap_ok(y), inner
-
     def step(self, problem, x, y, rngs, alpha, eta, p, k) -> ChainStep:
-        """Certified inner ascent chain by chain (each stops after its own
-        number of steps), then one stochastic descent step for all."""
-        ascents = [self._ascend(problem, xi, yi) for xi, yi in zip(x, y)]
+        """Certified inner ascent (diagnostics.inner_ascent) chain by chain,
+        each stopping after its own number of steps, then one stochastic
+        descent step for all."""
+        ascents = [
+            inner_ascent(problem, xi, yi, self.delta, self.inner_max_iters)
+            for xi, yi in zip(x, y)
+        ]
         y_new = np.stack([a[0] for a in ascents])
         gx = problem.grad_with_sample_batch(x, y_new, _draws(problem, rngs))[0]
         warn = tuple(
@@ -239,10 +230,9 @@ def sgdmax_step(
     delta: float,
     inner_max_iters: int = 1000,
 ) -> OptState:
-    """Exact ascent until the inner gap is certified <= delta, then one
-    stochastic descent step. Gap certificate: phi(x) - F(x, y) directly when
-    a closed phi exists, else |grad_y F|^2/(2 mu). Budget exhaustion sets a
-    warning on the state instead of failing."""
+    """Exact ascent until the inner gap is certified <= delta
+    (diagnostics.inner_ascent), then one stochastic descent step. Budget
+    exhaustion sets a warning on the state instead of failing."""
     return _single_step(SgdMax(delta, inner_max_iters), problem, state, alpha, None)
 
 
@@ -290,13 +280,6 @@ class RunResult:
     provenance: dict = field(default_factory=dict)
 
 
-def evals_per_step(kind: OptKind) -> int | None:
-    """Fixed oracle cost per step, or None when it varies (sgdmax)."""
-    return kind.evals_per_step
-
-
-_METRIC_KEYS = ("grad_x_norm", "grad_y_norm", "h", "v", "dist", "loss")
-
 # logged rows per stacked metric pass in run_chains: bounds the buffered
 # iterates at O(block * dim) whatever the run length
 _LOG_BLOCK = 1024
@@ -313,7 +296,7 @@ def _trace_metrics(
     equals h_metric, lyapunov, the norm of exact_grad and value at that
     point alone. Problems without a closed phi run their inner ascent row
     by row; dist is one dist_to_opt call per row."""
-    out: dict = dict.fromkeys(_METRIC_KEYS)
+    out: dict = dict.fromkeys(METRIC_KEYS)
     can_phi = problem.pl_condition and (
         problem.closed_phi is not None or diag.inner_budget > 0
     )
@@ -338,8 +321,8 @@ def _trace_metrics(
         ]
     if diag.loss:
         out["loss"] = f.tolist()
-    cols = [[None] * len(x) if out[key] is None else out[key] for key in _METRIC_KEYS]
-    return [dict(zip(_METRIC_KEYS, row)) for row in zip(*cols)]
+    cols = [[None] * len(x) if out[key] is None else out[key] for key in METRIC_KEYS]
+    return [dict(zip(METRIC_KEYS, row)) for row in zip(*cols)]
 
 
 def _flush(problem: Problem, diag: DiagConfig, pending: list, records: list) -> None:
@@ -465,7 +448,7 @@ def run_chains(
         final = JointPoint(x[i], y[i])
         recs = records[i]
         if recs:
-            final_metrics = {key: getattr(recs[-1], key) for key in _METRIC_KEYS}
+            final_metrics = {key: getattr(recs[-1], key) for key in METRIC_KEYS}
         else:
             final_metrics = initial[i]
         logged_h = [r.h for r in recs if r.h is not None]
@@ -477,12 +460,7 @@ def run_chains(
             "x_steps": int(x_steps[i]),
             "y_steps": int(y_steps[i]),
             "min_h": min(logged_h) if logged_h else None,
-            "final_h": final_metrics["h"],
-            "final_v": final_metrics["v"],
-            "final_dist": final_metrics["dist"],
-            "final_loss": final_metrics["loss"],
-            "final_grad_x_norm": final_metrics["grad_x_norm"],
-            "final_grad_y_norm": final_metrics["grad_y_norm"],
+            **{f"final_{key}": final_metrics[key] for key in METRIC_KEYS},
             "warnings": len(warnings[i]),
         }
         prov = dict(provenances[i] or {})

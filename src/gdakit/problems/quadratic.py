@@ -231,7 +231,6 @@ class _NcplQuadratic(_AdditiveNoiseProblem):
         self.a_mat = a
         self.b_mat = b
         self.a_pinv = pinv
-        self.proj_range = a @ pinv  # orthogonal projector onto range(A)
         self.phi_quad = b.T @ pinv @ b  # phi(x) = g(x) + (1/2) x' (B'A^+B) x
         self.m, self.n = int(m), int(n)
         mu = float(vals[pos].min())
@@ -270,11 +269,6 @@ class _NcplQuadratic(_AdditiveNoiseProblem):
     def _phi(self, x):
         phi = self._g(x) + row_dot(0.5 * x, _mv(self.phi_quad, x))
         return phi, _mv(self.a_pinv, _mv(self.b_mat, x))
-
-    def inner_argmax_dist(self, point: JointPoint) -> float:
-        """Distance from y to the inner argmax set {y*(x) + ker(A)}."""
-        _, y_star = self.closed_phi(point.x)
-        return float(np.linalg.norm(self.proj_range @ (point.y - y_star)))
 
 
 def make_scsc_quadratic(a: float, coupling, m: int, n: int, sigma: float = 0.0) -> Problem:

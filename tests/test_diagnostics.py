@@ -17,10 +17,12 @@ from gdakit.diagnostics import (
     descent_check,
     fd_gradient_check,
     h_metric,
+    inner_ascent,
     lyapunov,
     phi_inner,
     rate_summary,
 )
+from gdakit.optimizers import SgdMax
 from gdakit.problems import (
     JointPoint,
     make_bilinear,
@@ -205,6 +207,29 @@ def test_phi_inner_tol_certificate():
     loose = phi_inner(prob, x, y0, tol=1e-4)
     tight = phi_inner(prob, x, y0, tol=1e-5)
     assert abs(loose.phi - tight.phi) <= 10 * 1e-4
+
+
+def test_phi_inner_certifies_the_iterate_reached_at_the_budget():
+    # F = x y - y^2/2 at x = 1: two 1/l1 = 1/2 steps from y = 0 reach y = 0.75,
+    # whose gap 1/32 is under tol
+    prob = make_ncpl_quadratic([[0.0]], 0.0, [[1.0]], [[1.0]])
+    est = phi_inner(prob, np.array([1.0]), np.array([0.0]), tol=0.1, max_iters=2)
+    assert est.converged and est.iters == 2
+    assert est.y_hat[0] == 0.75
+
+
+def test_inner_ascent_is_the_one_phi_inner_and_sgdmax_use():
+    # mu < l1 here, so the gradient bound and the closed-phi gap differ
+    prob = random_ncpl_instance(0)
+    rng = RngStream(5, 0)
+    x = rng.gauss(prob.m, 1.0)
+    y0 = rng.gauss(prob.n, 1.0)
+    y, certified, steps = inner_ascent(prob, x, y0, 1e-4, 1000)
+    est = phi_inner(prob, x, y0, 1e-4, 1000)
+    out = SgdMax(1e-4, 1000).step(prob, x[None], y0[None], [RngStream(0, 0)], 0.1, None, None, 0)
+    assert certified and est.converged and out.warnings == ()
+    assert steps == est.iters == out.y_steps[0]
+    assert np.array_equal(y, est.y_hat) and np.array_equal(y, out.y[0])
 
 
 def _trace(hs):

@@ -379,6 +379,30 @@ def test_cmd_compare_rejections(tmp_path):
         cmd_compare(cfg, tmp_path)
 
 
+def _wgan_compare_cfg(diag):
+    return _compare_cfg(
+        problem={
+            "name": "gaussian_wgan",
+            "params": {"disc_arch": [2, 3, 1], "batch": 5, "quad_nodes": 10},
+        },
+        init={"kind": "problem_default"},
+        eval_budget=60,
+        checkpoints=2,
+        metrics=["h"],
+        diag=diag,
+    )
+
+
+def test_cmd_compare_rejects_unknown_diag_key(tmp_path):
+    with pytest.raises(ConfigError, match="inner_budgett"):
+        cmd_compare(_wgan_compare_cfg({"inner_budgett": 5}), tmp_path)
+
+
+def test_cmd_compare_rejects_string_inner_tol(tmp_path):
+    with pytest.raises(ConfigError, match="inner_tol"):
+        cmd_compare(_wgan_compare_cfg({"inner_tol": "1e-4"}), tmp_path)
+
+
 # ---------------------------------------------------------------- pselect
 
 def _pselect_cfg(sigma, **over):

@@ -144,17 +144,3 @@ def test_forward_rejects_wrong_input_dim():
         mlp.forward(arch, params, np.zeros(3))
     with pytest.raises(DimensionError):
         mlp.forward(arch, np.zeros(5), np.zeros(2))
-
-
-def test_params_round_trip(tmp_path):
-    arr = RngStream(8).gauss(13, 2.0)
-    path = tmp_path / "params.csv"
-    mlp.save_params(path, arr)
-    back = mlp.load_params(path)
-    assert np.array_equal(arr, back)
-
-
-def test_load_params_skips_comment_lines(tmp_path):
-    path = tmp_path / "params.csv"
-    path.write_text("# config_hash=abc\n1.5\n-2.25\n")
-    assert np.array_equal(mlp.load_params(path), np.array([1.5, -2.25]))

@@ -12,7 +12,6 @@ from gdakit.optimizers import (
     Sgda,
     SgdMax,
     esgda_step,
-    evals_per_step,
     init_state,
     rsgda_step,
     run,
@@ -244,10 +243,10 @@ def test_rsgda_rejects_bad_p():
 # ---------------------------------------------------------------- run()
 
 def test_evals_per_step_table():
-    assert evals_per_step(Sgda()) == 2
-    assert evals_per_step(Esgda(m=5)) == 6
-    assert evals_per_step(Rsgda()) == 1
-    assert evals_per_step(SgdMax()) is None
+    assert Sgda().evals_per_step == 2
+    assert Esgda(m=5).evals_per_step == 6
+    assert Rsgda().evals_per_step == 1
+    assert SgdMax().evals_per_step is None
 
 
 def test_run_logs_one_record_per_step_at_interval_one():
