@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from inspect import signature
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +32,11 @@ from gdakit.harness.config import (
     build_optimizer,
     build_plan,
     build_problem,
+    check_value,
     config_hash,
     parse_iters,
     parse_seeds,
+    read_block,
 )
 from gdakit.harness.io import (
     write_json,
@@ -57,13 +60,7 @@ def _aggregate(summaries: list[dict], keys=_AGG_KEYS) -> dict:
     return agg
 
 
-def cmd_run(
-    cfg: dict,
-    out_dir,
-    *,
-    seeds_override: list[int] | None = None,
-    waive_override: bool = False,
-) -> dict:
+def cmd_run(cfg: dict, out_dir, *, seeds_override: list[int] | None = None) -> dict:
     """Seeded runs of one optimizer on one problem; one trace per seed."""
     problem = build_problem(cfg.get("problem"))
     kind = build_optimizer(cfg.get("optimizer"))
@@ -71,7 +68,7 @@ def cmd_run(
     iters = parse_iters(cfg)
     seeds = parse_seeds(cfg, seeds_override)
     diag = build_diag(cfg.get("diag"))
-    waive = waive_override or bool(cfg.get("waive_constraints", False))
+    waive = check_value(cfg.get("waive_constraints", False), "bool", "waive_constraints")
     chash = config_hash(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -125,15 +122,17 @@ def _compare_series(cfg: dict, constants):
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise ConfigError(f"series[{i}] must be an object")
-        kind = build_optimizer(entry.get("optimizer"))
+        try:
+            kind = build_optimizer(entry.get("optimizer"))
+            plan = build_plan(entry.get("plan", cfg.get("plan")), constants)
+        except ConfigError as exc:
+            raise ConfigError(f"series[{i}]: {exc}") from exc
         if kind.evals_per_step is None:
             raise ConfigError(
                 "compare aligns series by cumulative gradient evaluations; "
                 "sgdmax has no fixed per-step cost, so it cannot be compared "
                 "this way (use separate run commands)"
             )
-        plan_spec = entry.get("plan", cfg.get("plan"))
-        plan = build_plan(plan_spec, constants)
         label = entry.get("label", entry["optimizer"].get("kind", f"s{i}"))
         if not isinstance(label, str) or not label or not all(
             ch.isalnum() or ch in "_-" for ch in label
@@ -148,13 +147,7 @@ def _compare_series(cfg: dict, constants):
     return series
 
 
-def cmd_compare(
-    cfg: dict,
-    out_dir,
-    *,
-    seeds_override: list[int] | None = None,
-    waive_override: bool = False,
-) -> dict:
+def cmd_compare(cfg: dict, out_dir, *, seeds_override: list[int] | None = None) -> dict:
     """Run several optimizers on one problem and merge their traces on a
     shared grid of cumulative gradient-evaluation counts.
 
@@ -165,25 +158,19 @@ def cmd_compare(
     problem = build_problem(cfg.get("problem"))
     series = _compare_series(cfg, problem.constants)
     seeds = parse_seeds(cfg, seeds_override)
-    waive = waive_override or bool(cfg.get("waive_constraints", False))
+    waive = check_value(cfg.get("waive_constraints", False), "bool", "waive_constraints")
     chash = config_hash(cfg)
 
     budget = parse_iters(cfg, key="eval_budget")
-    metrics = cfg.get("metrics", ["dist"])
-    if (
-        not isinstance(metrics, list)
-        or not metrics
-        or any(m not in METRIC_KEYS for m in metrics)
-    ):
-        raise ConfigError(
-            f"'metrics' must be a non-empty subset of {list(METRIC_KEYS)}"
-        )
+    metrics = check_value(cfg.get("metrics", ["dist"]), "list[str]", "metrics")
+    if any(m not in METRIC_KEYS for m in metrics):
+        raise ConfigError(f"metrics: must be a subset of {list(METRIC_KEYS)}, got {metrics}")
 
     eps = [kind.evals_per_step for _, kind, _ in series]
     lcm = math.lcm(*eps)
-    rows_target = cfg.get("checkpoints", 50)
-    if not isinstance(rows_target, int) or rows_target < 1:
-        raise ConfigError("'checkpoints' must be a positive integer")
+    rows_target = check_value(cfg.get("checkpoints", 50), "int", "checkpoints")
+    if rows_target < 1:
+        raise ConfigError(f"checkpoints: must be >= 1, got {rows_target}")
     ticks = budget // lcm
     if ticks < 1:
         raise ConfigError(
@@ -296,6 +283,17 @@ def _phi_of(problem: Problem, point, inner_tol, inner_budget) -> tuple[float, fl
     return v, phi
 
 
+PROBE_SCHEMA = {
+    "iters": "int",
+    "seed": "int",
+    "p": "float",
+    "alpha": "float",
+    "eta": "float",
+    "inner_tol": "float | None",
+    "inner_budget": "int",
+}
+
+
 def cmd_pselect(cfg: dict, out_dir) -> dict:
     """Update-probability selection for the randomized single-sample method.
 
@@ -308,35 +306,30 @@ def cmd_pselect(cfg: dict, out_dir) -> dict:
     """
     problem = build_problem(cfg.get("problem"))
     c = problem.constants
-    alpha = float(cfg.get("alpha", 1.0 / (2.0 * c.l2)))
+    alpha = check_value(cfg.get("alpha", 1.0 / (2.0 * c.l2)), "float", "alpha")
     if alpha <= 0:
-        raise ConfigError(f"'alpha' must be > 0, got {alpha}")
+        raise ConfigError(f"alpha: must be > 0, got {alpha}")
 
-    n_grid = cfg.get("n_grid", [10**j for j in range(2, 9)])
-    if (
-        not isinstance(n_grid, list)
-        or not n_grid
-        or any(not isinstance(n, int) or n < 1 for n in n_grid)
-        or sorted(n_grid) != n_grid
-    ):
-        raise ConfigError("'n_grid' must be an ascending list of positive integers")
+    n_grid = check_value(cfg.get("n_grid", [10**j for j in range(2, 9)]), "list[int]", "n_grid")
+    if min(n_grid) < 1 or sorted(n_grid) != n_grid:
+        raise ConfigError(f"n_grid: must be ascending positive integers, got {n_grid}")
 
-    probe_cfg = cfg.get("probe", {}) or {}
+    probe = read_block(cfg.get("probe"), "probe", PROBE_SCHEMA)
     probe_info: dict | None = None
     if "delta" in cfg:
-        delta = float(cfg["delta"])
+        delta = check_value(cfg["delta"], "float", "delta")
         if delta <= 0:
-            raise ConfigError(f"'delta' must be > 0, got {delta}")
+            raise ConfigError(f"delta: must be > 0, got {delta}")
     else:
-        probe_iters = int(probe_cfg.get("iters", 100))
+        probe_iters = probe.get("iters", 100)
         if probe_iters < 1:
-            raise ConfigError("probe.iters must be >= 1")
-        probe_seed = int(probe_cfg.get("seed", 0))
-        p_probe = float(probe_cfg.get("p", p_max(c)))
-        alpha_probe = float(probe_cfg.get("alpha", alpha))
-        eta_probe = float(probe_cfg.get("eta", 1.0 / c.l1))
-        inner_tol = probe_cfg.get("inner_tol")
-        inner_budget = int(probe_cfg.get("inner_budget", 10_000))
+            raise ConfigError(f"probe.iters: must be >= 1, got {probe_iters}")
+        probe_seed = probe.get("seed", 0)
+        p_probe = probe.get("p", p_max(c))
+        alpha_probe = probe.get("alpha", alpha)
+        eta_probe = probe.get("eta", 1.0 / c.l1)
+        inner_tol = probe.get("inner_tol")
+        inner_budget = probe.get("inner_budget", 10_000)
 
         rng = RngStream(probe_seed, stream_id=0)
         state = init_state(build_init(cfg.get("init"), problem, probe_seed), rng)
@@ -408,11 +401,11 @@ def _sweep(problem, rng, scfg, *, points, scale, sweep, what, ok) -> dict:
     fails the sweep with an error naming the cause (and the first such
     point), and no non-finite number is written.
     """
-    n_pts = int(scfg.get("points", points))
+    n_pts = scfg.get("points", points)
     out: dict = {"points": n_pts}
     if n_pts < 1:
         return {**out, "passed": False, "error": f"points must be >= 1, got {n_pts}"}
-    rep = sweep(problem.random_points(rng, n_pts, float(scfg.get("scale", scale))))
+    rep = sweep(problem.random_points(rng, n_pts, scfg.get("scale", scale)))
     # a descent sweep reports its smallest residual as the largest -residual
     worst = rep.worst_margin if what == "margin" else -rep.worst_margin
     if not math.isfinite(worst):
@@ -425,6 +418,17 @@ def _sweep(problem, rng, scfg, *, points, scale, sweep, what, ok) -> dict:
     return {**out, "passed": ok(worst), f"worst_{what}": worst}
 
 
+# the oracle block is check_oracle's draw budget and its keyword arguments,
+# typed as annotated; a sweep block is its point set and step overrides
+_ORACLE_KWARGS = signature(check_oracle).parameters.values()
+ORACLE_SCHEMA = {
+    "trials": "int",
+    **{p.name: p.annotation for p in _ORACLE_KWARGS if p.kind is p.KEYWORD_ONLY},
+}
+_SWEEP = {"points": "int", "scale": "float", "p": "float", "alpha": "float"}
+SWEEPS_SCHEMA = {"contraction": _SWEEP, "descent": {**_SWEEP, "eta": "float"}}
+
+
 def cmd_check(cfg: dict, out_dir) -> dict:
     """Oracle and certificate audit of one problem; writes check.json.
 
@@ -433,7 +437,9 @@ def cmd_check(cfg: dict, out_dir) -> dict:
     merit descent bound (needs closed-form phi) over random points.
     """
     problem = build_problem(cfg.get("problem"))
-    seed = int(cfg.get("seed", 0))
+    seed = check_value(cfg.get("seed", 0), "int", "seed")
+    ocfg = read_block(cfg.get("oracle"), "oracle", ORACLE_SCHEMA)
+    sweeps = read_block(cfg.get("sweeps"), "sweeps", SWEEPS_SCHEMA)
     chash = config_hash(cfg)
     report: dict = {
         "command": "check",
@@ -443,20 +449,9 @@ def cmd_check(cfg: dict, out_dir) -> dict:
         "passed": True,
     }
 
-    ocfg = cfg.get("oracle", {}) or {}
     rng = RngStream(seed, stream_id=5)
     try:
-        orep = check_oracle(
-            problem,
-            int(ocfg.get("trials", 2000)),
-            rng,
-            points=int(ocfg.get("points", 10)),
-            point_scale=float(ocfg.get("point_scale", 1.0)),
-            fd_step=float(ocfg.get("fd_step", 1e-5)),
-            fd_threshold=ocfg.get("fd_threshold"),
-            fd_coords=ocfg.get("fd_coords"),
-            noise_slack=float(ocfg.get("noise_slack", 0.1)),
-        )
+        orep = check_oracle(problem, ocfg.pop("trials", 2000), rng, **ocfg)
         report["oracle"] = {
             "passed": True,
             "points": orep.points,
@@ -470,15 +465,14 @@ def cmd_check(cfg: dict, out_dir) -> dict:
         report["oracle"] = {"passed": False, "error": str(exc)}
         report["passed"] = False
 
-    sweeps = cfg.get("sweeps", {}) or {}
     if "contraction" in sweeps:
-        scfg = sweeps["contraction"] or {}
+        scfg = sweeps["contraction"]
         if problem.nash_point is None:
             section = {"passed": False, "error": f"{problem.name}: no Nash point exposed"}
         else:
-            p = float(scfg.get("p", 0.5))
+            p = scfg.get("p", 0.5)
             alpha_cap = contraction_alpha_cap(problem.constants, p)
-            alpha = float(scfg.get("alpha", min(0.5 * alpha_cap, 1.0)))
+            alpha = scfg.get("alpha", min(0.5 * alpha_cap, 1.0))
             section = {"alpha": alpha, "p": p}
             section.update(
                 _sweep(
@@ -496,11 +490,11 @@ def cmd_check(cfg: dict, out_dir) -> dict:
         report["passed"] = report["passed"] and section["passed"]
 
     if "descent" in sweeps:
-        scfg = sweeps["descent"] or {}
-        p = float(scfg.get("p", p_max(problem.constants)))
+        scfg = sweeps["descent"]
+        p = scfg.get("p", p_max(problem.constants))
         sc = step_constraints(problem.constants, p)
-        alpha = float(scfg.get("alpha", 0.5 * sc.alpha_max))
-        eta = float(scfg.get("eta", sc.eta_hi))
+        alpha = scfg.get("alpha", 0.5 * sc.alpha_max)
+        eta = scfg.get("eta", sc.eta_hi)
         section = {"alpha": alpha, "eta": eta, "p": p}
         section.update(
             _sweep(

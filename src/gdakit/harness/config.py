@@ -1,16 +1,17 @@
-"""JSON run configurations: loading, validation, builders, canonical hash.
+"""JSON run configurations: loading, the one reader, builders, canonical hash.
 
-A config is a plain JSON object. The keys each command consumes are
-documented in the README ("Config reference"); this module owns the common
-pieces: the problem / optimizer / plan / init / diag sub-objects and the
-canonical hash embedded in every output file.
+A config is a plain JSON object. Every value in it is read by check_value
+and every nested block by read_block (README, "Config reference"); this
+module also builds the problem / optimizer / plan / init / diag objects and
+computes the canonical hash embedded in every output file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import fields
+import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -50,14 +51,21 @@ PROBLEM_BUILDERS = {
     "robust_regression": make_robust_regression,
 }
 
-OPTIMIZER_KINDS = {
-    "sgda": Sgda,
-    "sgdmax": SgdMax,
-    "esgda": Esgda,
-    "rsgda": Rsgda,
-}
+OPTIMIZER_KINDS = {kind.tag: kind for kind in (Sgda, SgdMax, Esgda, Rsgda)}
 
-PLAN_KINDS = ("constant", "polynomial")
+# the plan and init blocks of each kind, in read_block's dict form;
+# build_plan reads p
+_PLAN = {"kind": "str", "p": "any"}
+PLAN_SCHEMAS = {
+    "constant": {**_PLAN, "alpha": "float", "eta": "float"},
+    "polynomial": {**_PLAN, "alpha0": "float", "epsilon": "float", "eta_ratio": "float"},
+}
+INIT_SCHEMAS = {
+    "problem_default": {"kind": "str"},
+    "zeros": {"kind": "str"},
+    "gauss": {"kind": "str", "scale": "float"},
+    "point": {"kind": "str", "x": "list[float]", "y": "list[float]"},
+}
 
 
 def load_config(path) -> dict:
@@ -91,14 +99,88 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
-def build_problem(spec) -> Problem:
+def check_value(raw, typ: str, where: str):
+    """The one scalar rule: raw as a value of type typ, or a ConfigError
+    naming where.
+
+    typ is "int" (a JSON integer, or an integral float such as 1e4), "float"
+    (a finite JSON number), "bool" (a JSON boolean) or "str"; "X | None" also
+    takes null, and "list[X]" takes a non-empty array of X. A boolean is never
+    a number and a string never a number or a boolean.
+    """
+    if typ.startswith("list["):
+        if isinstance(raw, (list, tuple)) and raw:
+            return [check_value(v, typ[5:-1], f"{where}[{i}]") for i, v in enumerate(raw)]
+        raise ConfigError(f"{where}: expected a non-empty list, got {raw!r}")
+    base = typ.removesuffix(" | None")
+    if raw is None and base != typ:
+        return None
+    if base in ("bool", "str") and type(raw).__name__ == base:
+        return raw
+    number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
+    if number and base == "int" and (isinstance(raw, int) or raw.is_integer()):
+        return int(raw)
+    # abs(raw) <= max is False for inf and nan, and compares ints exactly
+    if number and base == "float" and abs(raw) <= sys.float_info.max:
+        return float(raw)
+    raise ConfigError(f"{where}: expected {typ}, got {raw!r}")
+
+
+def read_block(raw, where: str, schema):
+    """The one block rule: raw, a JSON object or null (read as {}), checked
+    key by key against schema, or a ConfigError naming where and the key.
+
+    A dataclass schema is its fields' annotated types; every field without
+    a default is required, and the block is returned as an instance (whose
+    own validation errors become ConfigErrors). Any other schema is a dict
+    mapping each key to a check_value type, to a nested schema read the same
+    way, or to "any" for a value its consumer reads; the checked keys are
+    returned as a dict. A key outside the schema is refused.
+    """
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected an object, got {raw!r}")
+    is_dataclass = not isinstance(schema, dict)
+    types = {f.name: f.type for f in fields(schema)} if is_dataclass else schema
+    out = {}
+    for key, val in raw.items():
+        path = f"{where}.{key}"
+        if key not in types:
+            valid = ", ".join(sorted(types)) or "none"
+            raise ConfigError(f"{path}: unknown key; valid keys: {valid}")
+        typ = types[key]
+        if isinstance(typ, dict):
+            out[key] = read_block(val, path, typ)
+        else:
+            out[key] = val if typ == "any" else check_value(val, typ, path)
+    if not is_dataclass:
+        return out
+    for f in fields(schema):
+        if f.default is MISSING and f.default_factory is MISSING:
+            _require(out, f.name, where)
+    try:
+        return schema(**out)
+    except ParameterError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _kind(spec, where: str, valid, key: str = "kind", default=None) -> str:
+    """The block's dispatch key (required when default is None), one of valid."""
     if not isinstance(spec, dict):
-        raise ConfigError("'problem' must be an object with 'name' and 'params'")
-    name = _require(spec, "name", "problem")
-    if name not in PROBLEM_BUILDERS:
+        raise ConfigError(f"{where}: expected an object, got {spec!r}")
+    raw = _require(spec, key, where) if default is None else spec.get(key, default)
+    kind = check_value(raw, "str", f"{where}.{key}")
+    if kind not in valid:
         raise ConfigError(
-            f"unknown problem '{name}'; valid names: {', '.join(sorted(PROBLEM_BUILDERS))}"
+            f"{where}.{key}: unknown {where} {key} '{kind}'; valid: {', '.join(sorted(valid))}"
         )
+    return kind
+
+
+def build_problem(spec) -> Problem:
+    """problem.params are the factory's keyword arguments, which it validates."""
+    name = _kind(spec, "problem", PROBLEM_BUILDERS, key="name")
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("problem.params must be an object")
@@ -111,66 +193,33 @@ def build_problem(spec) -> Problem:
 
 
 def build_optimizer(spec) -> OptKind:
-    if not isinstance(spec, dict):
-        raise ConfigError("'optimizer' must be an object with 'kind' and 'params'")
-    kind = _require(spec, "kind", "optimizer")
-    if kind not in OPTIMIZER_KINDS:
-        raise ConfigError(
-            f"unknown optimizer '{kind}'; valid kinds: {', '.join(sorted(OPTIMIZER_KINDS))}"
-        )
-    params = spec.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("optimizer.params must be an object")
-    try:
-        return OPTIMIZER_KINDS[kind](**params)
-    except TypeError as exc:
-        raise ConfigError(f"optimizer '{kind}': bad params: {exc}") from exc
-    except GdakitError as exc:
-        raise ConfigError(f"optimizer '{kind}': {exc}") from exc
+    kind = _kind(spec, "optimizer", OPTIMIZER_KINDS)
+    return read_block(spec.get("params"), "optimizer.params", OPTIMIZER_KINDS[kind])
 
 
 def _build_p(raw):
+    """A constant p, or an AdaPSchedule block."""
     if isinstance(raw, dict):
-        try:
-            return AdaPSchedule(
-                p0=float(_require(raw, "p0", "plan.p")),
-                n1=int(_require(raw, "n1", "plan.p")),
-                n2=int(_require(raw, "n2", "plan.p")),
-                clamp_to_p0=bool(raw.get("clamp_to_p0", True)),
-            )
-        except GdakitError as exc:
-            raise ConfigError(f"plan.p: {exc}") from exc
-    return float(raw)
+        return read_block(raw, "plan.p", AdaPSchedule)
+    return check_value(raw, "float", "plan.p")
 
 
 def build_plan(spec, constants: ProblemConstants) -> StepPlan:
-    if spec is None:
-        raise ConfigError("missing 'plan' object")
-    if not isinstance(spec, dict):
-        raise ConfigError("'plan' must be an object")
-    kind = spec.get("kind", "constant")
-    if kind not in PLAN_KINDS:
-        raise ConfigError(
-            f"unknown plan kind '{kind}'; valid kinds: {', '.join(PLAN_KINDS)}"
-        )
+    kind = _kind(spec, "plan", PLAN_SCHEMAS, default="constant")
+    plan = read_block(spec, "plan", PLAN_SCHEMAS[kind])
+    p = _build_p(plan.get("p", 0.5))
     try:
         if kind == "constant":
-            return constant_plan(
-                alpha=float(_require(spec, "alpha", "plan")),
-                eta=float(_require(spec, "eta", "plan")),
-                p=_build_p(spec.get("p", 0.5)),
-            )
+            return constant_plan(_require(plan, "alpha", "plan"), _require(plan, "eta", "plan"), p)
         return polynomial_schedule(
-            alpha0=float(_require(spec, "alpha0", "plan")),
-            epsilon=float(_require(spec, "epsilon", "plan")),
+            _require(plan, "alpha0", "plan"),
+            _require(plan, "epsilon", "plan"),
             constants=constants,
-            p=_build_p(spec.get("p", 0.5)),
-            eta_ratio=float(spec.get("eta_ratio", 1.0)),
+            p=p,
+            eta_ratio=plan.get("eta_ratio", 1.0),
         )
-    except GdakitError as exc:
+    except ParameterError as exc:
         raise ConfigError(f"plan: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"plan: bad value: {exc}") from exc
 
 
 def build_init(spec, problem: Problem, seed: int) -> JointPoint:
@@ -182,10 +231,11 @@ def build_init(spec, problem: Problem, seed: int) -> JointPoint:
     """
     if spec is None:
         spec = {}
-    if not isinstance(spec, dict):
-        raise ConfigError("'init' must be an object")
     default_init = getattr(problem, "default_init", None)
-    kind = spec.get("kind", "problem_default" if default_init else "gauss")
+    kind = _kind(
+        spec, "init", INIT_SCHEMAS, default="problem_default" if default_init else "gauss"
+    )
+    init = read_block(spec, "init", INIT_SCHEMAS[kind])
     if kind == "problem_default":
         if default_init is None:
             raise ConfigError(
@@ -195,74 +245,35 @@ def build_init(spec, problem: Problem, seed: int) -> JointPoint:
     if kind == "zeros":
         return JointPoint(np.zeros(problem.m), np.zeros(problem.n))
     if kind == "gauss":
-        scale = float(spec.get("scale", 1.0))
+        scale = init.get("scale", 1.0)
         rng = RngStream(seed, stream_id=1)
         return JointPoint(
             scale * rng.standard_normal(problem.m),
             scale * rng.standard_normal(problem.n),
         )
-    if kind == "point":
-        try:
-            x = np.asarray(_require(spec, "x", "init"), dtype=np.float64)
-            y = np.asarray(_require(spec, "y", "init"), dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"init: bad point: {exc}") from exc
-        try:
-            return problem.check_point(JointPoint(x, y))
-        except GdakitError as exc:
-            raise ConfigError(f"init: {exc}") from exc
-    raise ConfigError(
-        f"unknown init kind '{kind}'; valid kinds: gauss, point, problem_default, zeros"
-    )
+    x = np.array(_require(init, "x", "init"), dtype=np.float64)
+    y = np.array(_require(init, "y", "init"), dtype=np.float64)
+    try:
+        return problem.check_point(JointPoint(x, y))
+    except GdakitError as exc:
+        raise ConfigError(f"init: {exc}") from exc
 
 
 def build_diag(spec) -> DiagConfig:
-    """The 'diag' block: any DiagConfig field, each a JSON number or boolean
-    coerced to the type of its default (inner_tol, default None, to a float
-    when given)."""
-    if spec is None:
-        spec = {}
-    if not isinstance(spec, dict):
-        raise ConfigError("'diag' must be an object")
-    allowed = {f.name: f.default for f in fields(DiagConfig)}
-    bad = set(spec) - set(allowed)
-    if bad:
-        raise ConfigError(
-            f"diag: unknown keys {sorted(bad)}; valid keys: {sorted(allowed)}"
-        )
-
-    def coerce(key, raw):
-        if isinstance(raw, str):
-            raise TypeError(f"{key} must not be a string, got {raw!r}")
-        default = allowed[key]
-        if default is None:
-            return None if raw is None else float(raw)
-        return type(default)(raw)
-
-    try:
-        return DiagConfig(**{key: coerce(key, raw) for key, raw in spec.items()})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"diag: bad value: {exc}") from exc
-    except ParameterError as exc:
-        raise ConfigError(f"diag: {exc}") from exc
+    """The 'diag' block, read against DiagConfig's fields."""
+    return read_block(spec, "diag", DiagConfig)
 
 
 def parse_seeds(cfg: dict, override: list[int] | None) -> list[int]:
-    seeds = override if override is not None else cfg.get("seeds", [0])
-    if not isinstance(seeds, (list, tuple)) or not seeds:
-        raise ConfigError("'seeds' must be a non-empty list of integers")
-    out = []
-    for s in seeds:
-        if isinstance(s, bool) or not isinstance(s, int):
-            raise ConfigError(f"'seeds' must all be integers, got {s!r}")
-        out.append(int(s))
-    if len(set(out)) != len(out):
-        raise ConfigError("'seeds' must be distinct")
-    return out
+    raw = override if override is not None else cfg.get("seeds", [0])
+    seeds = check_value(raw, "list[int]", "seeds")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError("seeds: must be distinct")
+    return seeds
 
 
 def parse_iters(cfg: dict, key: str = "iters") -> int:
-    raw = _require(cfg, key, "config")
-    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 0:
-        raise ConfigError(f"'{key}' must be a non-negative integer, got {raw!r}")
-    return raw
+    iters = check_value(_require(cfg, key, "config"), "int", key)
+    if iters < 0:
+        raise ConfigError(f"{key}: must be >= 0, got {iters}")
+    return iters

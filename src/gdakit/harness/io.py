@@ -25,12 +25,13 @@ TRACE_COLUMNS = tuple(f.metadata.get("column", f.name) for f in fields(TraceReco
 _FLOATS = attrgetter(*(f.name for f in fields(TraceRecord)[2:]))
 
 
+# csv.writer writes cells of these exact types as the formats here do: a
+# str as is, an int through str, a float through repr and None as empty
+_NATIVE = frozenset((str, int, float, type(None)))
+
+
 class TraceFormatError(GdakitError):
     """Trace file does not parse back into records."""
-
-
-def _fmt(v) -> str:
-    return "" if v is None else repr(float(v))
 
 
 def _parse(cell: str):
@@ -38,14 +39,13 @@ def _parse(cell: str):
 
 
 def write_trace_csv(path, records: list[TraceRecord], config_hash: str | None = None):
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if config_hash is not None:
-            fh.write(f"# config_hash={config_hash}\n")
-        wr = csv.writer(fh)
-        wr.writerow(TRACE_COLUMNS)
-        for r in records:
-            wr.writerow([str(r.k), r.branch, *map(_fmt, _FLOATS(r))])
+    """One row per record through write_table_csv; the float columns are
+    made floats first, so an int step size is written 1.0, as read back."""
+    rows = [
+        [r.k, r.branch, *[v if v is None else float(v) for v in _FLOATS(r)]]
+        for r in records
+    ]
+    write_table_csv(path, TRACE_COLUMNS, rows, config_hash)
 
 
 def read_trace_csv(path) -> tuple[list[TraceRecord], str | None]:
@@ -116,8 +116,8 @@ def write_table_csv(path, header: list[str], rows: list[list], config_hash=None)
             wr.writerow(
                 [
                     c
-                    if isinstance(c, str)
-                    else ("" if c is None else (str(c) if isinstance(c, int) else repr(float(c))))
+                    if type(c) in _NATIVE or isinstance(c, str)
+                    else (str(c) if isinstance(c, int) else repr(float(c)))
                     for c in row
                 ]
             )

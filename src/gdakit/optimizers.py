@@ -70,7 +70,7 @@ class Sgda:
     sample at (x_k, y_{k+1}); strict mode reuses the ascent sample there."""
 
     strict_sample_reuse: bool = False
-    tag: str = "sgda"
+    tag: ClassVar[str] = "sgda"
     evals_per_step: ClassVar[int] = 2
     randomized: ClassVar[bool] = False
 
@@ -88,7 +88,7 @@ class Sgda:
 class SgdMax:
     delta: float = 1e-6
     inner_max_iters: int = 1000
-    tag: str = "sgdmax"
+    tag: ClassVar[str] = "sgdmax"
     evals_per_step: ClassVar[int | None] = None  # inner ascent length varies
     randomized: ClassVar[bool] = False
 
@@ -120,7 +120,7 @@ class SgdMax:
 @dataclass(frozen=True)
 class Esgda:
     m: int = 1
-    tag: str = "esgda"
+    tag: ClassVar[str] = "esgda"
     randomized: ClassVar[bool] = False
 
     def __post_init__(self):
@@ -146,7 +146,7 @@ class Rsgda:
     carries a convergence certificate (validated by run_chains) and whose
     steps use, and log, the plan's update probability p."""
 
-    tag: str = "rsgda"
+    tag: ClassVar[str] = "rsgda"
     evals_per_step: ClassVar[int] = 1
     randomized: ClassVar[bool] = True
 

@@ -13,7 +13,7 @@ boundary value is also the variance-free optimal update probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .core import ConstraintError, ParameterError
@@ -122,7 +122,6 @@ class StepPlan:
     eta: Callable[[int], float]
     p: Callable[[int], float]
     kind: str = "custom"
-    meta: dict = field(default_factory=dict)
 
 
 def constant_plan(alpha: float, eta: float, p: float | AdaPSchedule = 0.5) -> StepPlan:
@@ -130,12 +129,7 @@ def constant_plan(alpha: float, eta: float, p: float | AdaPSchedule = 0.5) -> St
         raise ParameterError("constant_plan: alpha and eta must be > 0")
     p_fn = p if isinstance(p, AdaPSchedule) else _const_p(p)
     kind = "constant+ada_p" if isinstance(p, AdaPSchedule) else "constant"
-    meta = {"alpha": alpha, "eta": eta}
-    if isinstance(p, AdaPSchedule):
-        meta.update(p0=p.p0, n1=p.n1, n2=p.n2, clamp_to_p0=p.clamp_to_p0)
-    else:
-        meta["p"] = p
-    return StepPlan(lambda k: alpha, lambda k: eta, p_fn, kind=kind, meta=meta)
+    return StepPlan(lambda k: alpha, lambda k: eta, p_fn, kind=kind)
 
 
 def _const_p(p: float) -> Callable[[int], float]:
@@ -187,8 +181,7 @@ def polynomial_schedule(
             lo = 0.0 if pk >= 1.0 else 18.0 * kap2 * (pk / (1.0 - pk)) * a
             return min(eta_hi, max(lo, eta_ratio * a))
 
-    meta = {"alpha0": alpha0, "epsilon": epsilon, "eta_ratio": eta_ratio}
-    return StepPlan(alpha, eta, p_fn, kind="polynomial", meta=meta)
+    return StepPlan(alpha, eta, p_fn, kind="polynomial")
 
 
 def plan_violations(

@@ -26,6 +26,7 @@ from gdakit.optimizers import (
     init_state,
     rsgda_step,
     run,
+    run_chains,
 )
 from gdakit.problems import (
     JointPoint,
@@ -190,11 +191,11 @@ def test_horizon_tuned_noise_runs_follow_inverse_sqrt_k_trend():
         plan = constant_plan(alpha, sc.eta_hi, p2)
         diag = DiagConfig(interval=max(1, n // 200), grad_norms=False, h=True,
                           dist=False)
-        mins = [
-            run(noisy, Rsgda(), plan, init, n, RngStream(seed, stream_id=0),
-                diag).summary["min_h"]
-            for seed in range(20)
-        ]
+        # the 20 seeds as one batch of chains, each on its own stream
+        results = run_chains(noisy, Rsgda(), plan, [init] * 20, n,
+                             [RngStream(seed, stream_id=0) for seed in range(20)],
+                             diag)
+        mins = [r.summary["min_h"] for r in results]
         means.append(float(np.mean(mins)))
     r1 = means[0] / means[1]
     r2 = means[1] / means[2]

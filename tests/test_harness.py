@@ -23,6 +23,7 @@ from gdakit.harness.config import (
     build_plan,
     build_problem,
     canonical_json,
+    check_value,
     config_hash,
     load_config,
     parse_iters,
@@ -154,6 +155,48 @@ def test_parse_seeds_and_iters_validation():
         parse_iters({"iters": 2.5})
 
 
+@pytest.mark.parametrize(
+    "typ,raw,want",
+    [
+        ("int", 3, 3),
+        ("int", 1e4, 10_000),
+        ("float", 2, 2.0),
+        ("float", 0.5, 0.5),
+        ("bool", False, False),
+        ("float | None", None, None),
+        ("int | None", 4, 4),
+        ("list[int]", [3, 1.0], [3, 1]),
+    ],
+)
+def test_check_value_accepts_and_converts(typ, raw, want):
+    got = check_value(raw, typ, "block.key")
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize(
+    "typ,raw",
+    [
+        ("int", 2.7),
+        ("int", True),
+        ("int", "3"),
+        ("float", True),
+        ("float", "0.1"),
+        ("float", float("nan")),
+        ("float", float("inf")),
+        ("float", 10**400),
+        ("float", None),
+        ("bool", 1),
+        ("bool", "false"),
+        ("str", 1),
+        ("list[int]", []),
+        ("list[int]", [1, True]),
+    ],
+)
+def test_check_value_refuses_naming_the_key(typ, raw):
+    with pytest.raises(ConfigError, match=r"block\.key"):
+        check_value(raw, typ, "block.key")
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "missing.json")
@@ -191,6 +234,15 @@ def test_trace_csv_round_trip_exact(tmp_path):
     assert lines[0] == "# config_hash=abc123"
     assert lines[1].startswith("k,branch,alpha")
     assert len(lines) == 2 + len(recs)
+
+
+def test_trace_csv_writes_int_step_sizes_as_floats(tmp_path):
+    path = tmp_path / "trace.csv"
+    recs = [TraceRecord(k=1, branch="x", alpha=1, eta=1, p=1, dist=0)]
+    write_trace_csv(path, recs)
+    assert path.read_text().splitlines()[1] == "1,x,1.0,1.0,1.0,,,,,0.0,"
+    back, _ = read_trace_csv(path)
+    assert back == recs and type(back[0].alpha) is float
 
 
 def test_trace_csv_rejects_wrong_header(tmp_path):
@@ -494,6 +546,57 @@ def test_cmd_check_reports_missing_nash_point(tmp_path):
 
 
 # ---------------------------------------------------------------- cli
+
+_SHIPPED = {
+    "run": "run_scsc_rsgda.json",
+    "compare": "compare_wgan.json",
+    "pselect": "pselect_ncpl.json",
+    "check": "check_scsc.json",
+}
+
+# (command, edits to its shipped config by dotted path, the key the error
+# must name); none of these exited 2 while the harness coerced values with
+# int()/float()/bool(): most ran, some ended in a traceback
+_MALFORMED = [
+    ("check", {"oracle.trials": "many"}, "oracle.trials"),
+    ("check", {"oracle.trails": 5}, "oracle.trails"),
+    ("check", {"sweeps.descnet": {"points": 10}}, "sweeps.descnet"),
+    ("check", {"sweeps.descent.points": 2.9}, "sweeps.descent.points"),
+    ("check", {"sweeps.contraction.p": "half"}, "sweeps.contraction.p"),
+    ("check", {"seed": 1.5}, "seed"),
+    ("pselect", {"probe.iters": "x"}, "probe.iters"),
+    ("pselect", {"probe.itres": 3}, "probe.itres"),
+    ("pselect", {"alpha": "x"}, "alpha"),
+    ("run", {"diag.interval": 2.7}, "diag.interval"),
+    ("run", {"optimizer.params.tag": "hello"}, "optimizer.params.tag"),
+    ("run", {"plan.alpha": "0.1"}, "plan.alpha"),
+    ("run", {"plan.p.n1": "300"}, "plan.p.n1"),
+    ("run", {"plan.p.n2": 299.9}, "plan.p.n2"),
+    ("run", {"init.scale": "big"}, "init.scale"),
+    # an infeasible plan, which "false" must not waive
+    ("run", {"plan.alpha": 10.0, "waive_constraints": "false"}, "waive_constraints"),
+    ("compare", {"series.0.optimizer.params.m": 5.5}, "optimizer.params.m"),
+    ("compare", {"checkpoints": True}, "checkpoints"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,edits,key", _MALFORMED, ids=[f"{c}-{k}" for c, _, k in _MALFORMED]
+)
+def test_cli_exit_two_names_the_malformed_key(tmp_path, capsys, command, edits, key):
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    cfg = json.loads((configs / _SHIPPED[command]).read_text())
+    for path, value in edits.items():
+        *parents, last = path.split(".")
+        node = cfg
+        for part in parents:
+            node = node[int(part)] if part.isdigit() else node[part]
+        node[last] = value
+    path = _write_cfg(tmp_path, cfg)
+    assert main([command, path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
 
 def test_cli_run_exit_zero_and_seed_override(tmp_path):
     path = _write_cfg(tmp_path, _run_cfg())
