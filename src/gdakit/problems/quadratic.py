@@ -85,10 +85,17 @@ class _AdditiveNoiseProblem(Problem):
     def closed_phi_batch(self, x):
         return self._phi(x)
 
+    def _set_constants(self, constants: ProblemConstants) -> None:
+        """Set the constants and the per-coordinate noise std they imply,
+        once here instead of on every draw. ProblemConstants has checked
+        that sigma is finite and >= 0, so the std is too."""
+        self.constants = constants
+        self._noise_std = constants.sigma / np.sqrt(self.m + self.n)
+
     def draw_sample(self, rng: RngStream):
         if self.constants.sigma == 0.0:
             return None
-        return rng.gauss(self.m + self.n, self._noise_std())
+        return rng.gauss(self.m + self.n, self._noise_std)
 
     def draw_samples(self, rng: RngStream, k: int):
         """k noise vectors as one (k, m+n) block: the stream fills it in
@@ -96,10 +103,7 @@ class _AdditiveNoiseProblem(Problem):
         if self.constants.sigma == 0.0:
             return [None] * k
         d = self.m + self.n
-        return rng.gauss(k * d, self._noise_std()).reshape(k, d)
-
-    def _noise_std(self) -> float:
-        return self.constants.sigma / np.sqrt(self.m + self.n)
+        return rng.gauss(k * d, self._noise_std).reshape(k, d)
 
     def grad_with_sample(self, point: JointPoint, sample) -> GradSample:
         g = self.exact_grad(point)
@@ -134,8 +138,8 @@ class _ScscQuadratic(_AdditiveNoiseProblem):
         self.b_mat = b
         self.m, self.n = int(m), int(n)
         b_norm = float(np.linalg.norm(b, 2)) if b.any() else 0.0
-        self.constants = ProblemConstants(l1=self.a + b_norm, mu=self.a, sigma=float(sigma))
         self.name = "scsc_quadratic"
+        self._set_constants(ProblemConstants(l1=self.a + b_norm, mu=self.a, sigma=float(sigma)))
         self.nash_point = JointPoint(np.zeros(m), np.zeros(n))
         self.metadata = {"a": self.a, "coupling_norm": b_norm}
 
@@ -174,10 +178,10 @@ class _Bilinear(_AdditiveNoiseProblem):
         self.m = self.n = int(m)
         # no inner curvature exists; mu is a placeholder so the dataclass
         # validates, and pl_condition=False makes phi-diagnostics refuse it
-        self.constants = ProblemConstants(
-            l1=1.0, mu=1.0, sigma=float(sigma), provenance="placeholder"
-        )
         self.name = "bilinear"
+        self._set_constants(
+            ProblemConstants(l1=1.0, mu=1.0, sigma=float(sigma), provenance="placeholder")
+        )
         self.nash_point = JointPoint(np.zeros(m), np.zeros(n))
         self.metadata = {}
 
@@ -240,8 +244,8 @@ class _NcplQuadratic(_AdditiveNoiseProblem):
             + float(np.linalg.norm(a, 2))
             + float(np.linalg.norm(b, 2))
         )
-        self.constants = ProblemConstants(l1=l1, mu=mu, sigma=float(sigma))
         self.name = "ncpl_quadratic"
+        self._set_constants(ProblemConstants(l1=l1, mu=mu, sigma=float(sigma)))
         self.metadata = {"c": self.c, "rank_a": int(pos.sum())}
 
     def _g(self, x):

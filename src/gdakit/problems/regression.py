@@ -65,7 +65,7 @@ class _RobustRegression(Problem):
         self.metadata = {"mlp_backed": True, "d": d, "batch": self.batch}
 
     def _fw(self, x_rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return mlp.forward_batch(self.arch, w, x_rows)[:, 0]
+        return mlp.forward_batch(self.arch, w, x_rows)[..., 0]
 
     def value(self, point: JointPoint) -> float:
         self.check_point(point)
@@ -98,6 +98,29 @@ class _RobustRegression(Problem):
         gy = np.zeros(self.n)
         np.add.at(gy, idx, (ys - f - self.lam * (ys - self.targets[idx])) / self.batch)
         return GradSample(gw, gy)
+
+    def grad_with_sample_batch(self, x, y, samples):
+        """grad_with_sample at each row, one stacked forward and backward
+        pass per block of rows (mlp.row_blocks) and one np.add.at per block
+        for the y-gradients. Each row equals grad_with_sample bit for bit; a
+        non-finite row gets non-finite gradients, not an error."""
+        idx_all = np.asarray(samples)
+        gx = np.empty(x.shape)
+        gy = np.zeros(y.shape)
+        for blk in mlp.row_blocks(self.arch, len(x), idx_all.shape[1]):
+            w, idx = x[blk], idx_all[blk]
+            rows = np.arange(blk.start, blk.stop)[:, None]
+            xs = self.x_data[idx]
+            f = self._fw(xs, w)
+            ys = y[rows, idx]
+            r = f - ys
+            gx[blk], _ = mlp.backward_batch(self.arch, w, xs, (r / self.batch)[..., None])
+            # (row, index) pairs in row-major order: each row's entries add
+            # up in the order grad_with_sample adds them
+            np.add.at(
+                gy, (rows, idx), (ys - f - self.lam * (ys - self.targets[idx])) / self.batch
+            )
+        return gx, gy
 
     def closed_phi(self, w: np.ndarray):
         f = self._fw(self.x_data, np.asarray(w, dtype=np.float64))

@@ -125,6 +125,32 @@ class _GaussianWgan(Problem):
         wts = np.full(x.shape[0], 1.0 / x.shape[0])
         return self._grad(point, x, z, wts)
 
+    def grad_with_sample_batch(self, x, y, samples):
+        """grad_with_sample at each row, one stacked backward pass per block
+        of rows (mlp.row_blocks). Each row equals grad_with_sample bit for
+        bit; a non-finite row gets non-finite gradients, not an error."""
+        gx = np.empty(x.shape)
+        gy = np.empty(y.shape)
+        for blk in mlp.row_blocks(self.arch, len(x), self.batch, slices_per_row=2):
+            gx[blk], gy[blk] = self._grad_stack(x[blk], y[blk], samples[blk])
+        return gx, gy
+
+    def _grad_stack(self, x, y, samples):
+        """Minibatch gradients of S rows from one backward pass over 2S
+        slices: slice i is row i's data minibatch, slice S + i its generator
+        minibatch, each with row i's critic weights (as _grad, row by row)."""
+        s = len(x)
+        xz = np.array(samples)  # (S, 2, B, 2): row i's (data, z)
+        z = xz[:, 1]
+        inputs = np.concatenate([xz[:, 0], x[:, None, :2] + x[:, None, 2:] * z])
+        # weight 1/B per data row, -1/B per generated row
+        wts = np.full(inputs.shape[:2] + (1,), 1.0 / z.shape[1])
+        np.negative(wts[s:], out=wts[s:])
+        pg, ig = mlp.backward_batch(self.arch, np.concatenate([y, y]), inputs, wts)
+        gu = ig[s:]
+        g_theta = np.concatenate([gu.sum(axis=1), (gu * z).sum(axis=1)], axis=1)
+        return g_theta, pg[:s] + pg[s:]
+
     # -- extras -------------------------------------------------------------
     def dist_to_opt(self, point: JointPoint) -> float:
         target = np.concatenate([self.mu_star, self.sigma_star])

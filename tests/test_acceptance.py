@@ -262,15 +262,15 @@ def test_wgan_toy_methods_agree_at_equal_gradient_budget():
     lines = []
     for m in (1, 5):
         plan = constant_plan(0.01, 0.01, 1.0 / (m + 1))
-        d_rand, d_multi = [], []
-        for seed in seeds:
-            init = prob.default_init(seed=seed)
-            r = run(prob, Rsgda(), plan, init, budget, RngStream(seed, 0),
-                    diag, waive_constraints=True)
-            e = run(prob, Esgda(m=m), plan, init, budget // (m + 1),
-                    RngStream(seed, 0), diag, waive_constraints=True)
-            d_rand.append(r.summary["final_dist"])
-            d_multi.append(e.summary["final_dist"])
+        inits = [prob.default_init(seed=seed) for seed in seeds]
+        rand = run_chains(prob, Rsgda(), plan, inits, budget,
+                          [RngStream(seed, 0) for seed in seeds], diag,
+                          waive_constraints=True)
+        multi = run_chains(prob, Esgda(m=m), plan, inits, budget // (m + 1),
+                           [RngStream(seed, 0) for seed in seeds], diag,
+                           waive_constraints=True)
+        d_rand = [r.summary["final_dist"] for r in rand]
+        d_multi = [e.summary["final_dist"] for e in multi]
         mean_r = float(np.mean(d_rand))
         mean_e = float(np.mean(d_multi))
         rel = abs(mean_r - mean_e) / mean_e

@@ -1,6 +1,7 @@
 """Batched oracle audit and certificate sweeps against per-draw / per-point
 reference loops: every reported number, index and the stream position
 afterwards must match exactly."""
+import functools
 import json
 import math
 
@@ -164,6 +165,8 @@ def test_audit_rejects_non_finite_sampled_gradient_on_per_row_path():
         return GradSample(g.gx * (np.nan if len(calls) == 3 else 1.0), g.gy)
 
     prob.grad_with_sample = blows_up_on_third_draw
+    # the per-row default of Problem, not regression's stacked override
+    prob.grad_with_sample_batch = functools.partial(base.Problem.grad_with_sample_batch, prob)
     with pytest.raises(OracleViolation, match="non-finite sampled gradient at probe point 0 .draw 2"):
         check_oracle(prob, 400, RngStream(2), points=2)
 
