@@ -65,15 +65,13 @@ def as_vec(values, *, what: str = "vector") -> np.ndarray:
     return a
 
 
-def row_dot(a: np.ndarray, b: np.ndarray):
-    """a @ b for two vectors, or the dot of each row pair of two stacks (S, k).
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot of each row pair of two stacks (S, k); shape (S,).
 
     Stacked matmul runs one dot product per row, so each row is
     bit-identical to a @ b on that row alone whatever S is (einsum's row
     sums are not).
     """
-    if a.ndim == 1:
-        return a @ b
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 

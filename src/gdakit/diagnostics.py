@@ -86,7 +86,7 @@ def inner_ascent(
     """
     step = 1.0 / problem.constants.l1
     two_mu = 2.0 * problem.constants.mu
-    phi = None if problem.closed_phi is None else problem.closed_phi(x)[0]
+    phi = None if problem.closed_phi_batch is None else problem.closed_phi(x)[0]
     steps = 0
     while True:
         point = JointPoint(x, y)
@@ -145,7 +145,7 @@ def phi_rows(
     1e-8 * max(1, |F(x, y)|), which keeps the certificate meaningful across
     scales; f, when given, holds the rows' values F(x, y) for it."""
     require_phi(problem)
-    if problem.closed_phi is not None:
+    if problem.closed_phi_batch is not None:
         return problem.closed_phi_batch(x)
     if inner_tol is None and f is None:
         f = problem.value_batch(x, y)
@@ -364,7 +364,7 @@ def _descent_terms(problem, x, y, alpha, eta, p, c):
 
 
 def _descent_ready(problem: Problem, alpha: float, eta: float, p: float) -> None:
-    if problem.closed_phi is None:
+    if problem.closed_phi_batch is None:
         raise CapabilityError(
             f"{problem.name}: descent_check needs a closed-form inner maximum"
         )

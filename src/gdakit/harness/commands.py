@@ -26,6 +26,7 @@ from gdakit.optimizers import run_chains as run
 from gdakit.problems import Problem, check_oracle
 from gdakit.schedules import AdaPSchedule, optimal_p, p_max, step_constraints
 from gdakit.harness.config import (
+    SERIES_SCHEMA,
     ConfigError,
     build_diag,
     build_init,
@@ -120,8 +121,7 @@ def _compare_series(cfg: dict, constants):
     series = []
     labels = set()
     for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"series[{i}] must be an object")
+        entry = read_block(entry, f"series[{i}]", SERIES_SCHEMA)
         try:
             kind = build_optimizer(entry.get("optimizer"))
             plan = build_plan(entry.get("plan", cfg.get("plan")), constants)
@@ -133,10 +133,8 @@ def _compare_series(cfg: dict, constants):
                 "sgdmax has no fixed per-step cost, so it cannot be compared "
                 "this way (use separate run commands)"
             )
-        label = entry.get("label", entry["optimizer"].get("kind", f"s{i}"))
-        if not isinstance(label, str) or not label or not all(
-            ch.isalnum() or ch in "_-" for ch in label
-        ):
+        label = entry.get("label", entry["optimizer"]["kind"])
+        if not label or not all(ch.isalnum() or ch in "_-" for ch in label):
             raise ConfigError(
                 f"series[{i}]: label must be a nonempty [A-Za-z0-9_-] string"
             )

@@ -53,6 +53,12 @@ PROBLEM_BUILDERS = {
 
 OPTIMIZER_KINDS = {kind.tag: kind for kind in (Sgda, SgdMax, Esgda, Rsgda)}
 
+# the problem, optimizer and compare-series objects in read_block's dict
+# form; build_problem, build_optimizer and build_plan read params and plan
+PROBLEM_SCHEMA = {"name": "str", "params": "any"}
+OPTIMIZER_SCHEMA = {"kind": "str", "params": "any"}
+SERIES_SCHEMA = {"label": "str", "optimizer": "any", "plan": "any"}
+
 # the plan and init blocks of each kind, in read_block's dict form;
 # build_plan reads p
 _PLAN = {"kind": "str", "p": "any"}
@@ -180,6 +186,7 @@ def _kind(spec, where: str, valid, key: str = "kind", default=None) -> str:
 
 def build_problem(spec) -> Problem:
     """problem.params are the factory's keyword arguments, which it validates."""
+    spec = read_block(spec, "problem", PROBLEM_SCHEMA)
     name = _kind(spec, "problem", PROBLEM_BUILDERS, key="name")
     params = spec.get("params", {})
     if not isinstance(params, dict):
@@ -193,6 +200,7 @@ def build_problem(spec) -> Problem:
 
 
 def build_optimizer(spec) -> OptKind:
+    spec = read_block(spec, "optimizer", OPTIMIZER_SCHEMA)
     kind = _kind(spec, "optimizer", OPTIMIZER_KINDS)
     return read_block(spec.get("params"), "optimizer.params", OPTIMIZER_KINDS[kind])
 

@@ -298,7 +298,7 @@ def _trace_metrics(
     by row; dist is one dist_to_opt call per row."""
     out: dict = dict.fromkeys(METRIC_KEYS)
     can_phi = problem.pl_condition and (
-        problem.closed_phi is not None or diag.inner_budget > 0
+        problem.closed_phi_batch is not None or diag.inner_budget > 0
     )
     want_h, want_v = diag.h and can_phi, diag.v and can_phi
     if diag.grad_norms or want_h:

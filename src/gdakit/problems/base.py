@@ -114,11 +114,12 @@ class ProblemConstants:
 class Problem:
     """Base class; concrete factories live in the sibling modules.
 
-    Subclasses must implement value, exact_grad, draw_sample and
-    grad_with_sample. The *_batch methods, draw_samples and random_points
-    are their stacked forms; the defaults loop over rows, and a subclass
-    may override them with vectorized forms whose rows match the per-point
-    methods bit for bit. closed_phi /
+    A subclass implements the stacked oracle only: value_batch,
+    exact_grad_batch and grad_with_sample_batch at a stack of points (row i
+    of x (S, m) and y (S, n)), draw_sample, and closed_phi_batch where phi
+    has a closed form. value, exact_grad, grad_with_sample and closed_phi
+    are their S = 1 views, written once here. draw_samples and
+    random_points stack draw_sample and random_point. closed_phi_batch /
     nash_point / dist_to_opt stay None when the problem cannot support
     them. pl_condition is False for problems (bilinear coupling) whose
     inner maximization has no curvature, so phi-based diagnostics refuse
@@ -130,21 +131,56 @@ class Problem:
     n: int = 0
     constants: ProblemConstants | None = None
     pl_condition: bool = True
-    closed_phi = None  # overridden as a method where a closed form exists
+    # x (S, m) -> (phi (S,), y*(x) (S, n)), a method where a closed form exists
+    closed_phi_batch = None
     nash_point: JointPoint | None = None
     metadata: dict = {}
 
-    def value(self, point: JointPoint) -> float:
+    def value_batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """F at each row of x (S, m) and y (S, n); shape (S,)."""
         raise NotImplementedError
 
-    def exact_grad(self, point: JointPoint) -> GradSample:
+    def exact_grad_batch(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact gradients (gx (S, m), gy (S, n)) at each row of x and y."""
+        raise NotImplementedError
+
+    def grad_with_sample_batch(
+        self, x: np.ndarray, y: np.ndarray, samples
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Sampled gradients at each row of x (S, m) and y (S, n), row i
+        with samples[i]; returns (gx (S, m), gy (S, n)).
+
+        Like every stacked form, it does not validate the rows: a row that
+        has diverged gets non-finite gradients, not an error, since the
+        caller's finiteness check on the iterates reports it.
+        """
         raise NotImplementedError
 
     def draw_sample(self, rng: RngStream) -> Any:
         raise NotImplementedError
 
+    def _one(self, point: JointPoint) -> tuple[np.ndarray, np.ndarray]:
+        """point as the one-row stacks of an S = 1 view."""
+        self.check_point(point)
+        return point.x[None], point.y[None]
+
+    def value(self, point: JointPoint) -> float:
+        return float(self.value_batch(*self._one(point))[0])
+
+    def exact_grad(self, point: JointPoint) -> GradSample:
+        gx, gy = self.exact_grad_batch(*self._one(point))
+        return GradSample(gx[0], gy[0])
+
     def grad_with_sample(self, point: JointPoint, sample: Any) -> GradSample:
-        raise NotImplementedError
+        gx, gy = self.grad_with_sample_batch(*self._one(point), [sample])
+        return GradSample(gx[0], gy[0])
+
+    def closed_phi(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """(phi(x), y*(x)) at one x (m,)."""
+        if self.closed_phi_batch is None:
+            raise CapabilityError(f"{self.name}: no closed-form inner maximum")
+        phi, y_star = self.closed_phi_batch(np.asarray(x, dtype=np.float64)[None])
+        return float(phi[0]), y_star[0]
 
     def stoch_grad(self, point: JointPoint, rng: RngStream) -> GradSample:
         """Unbiased gradient sample: one fresh draw, evaluated at point."""
@@ -154,35 +190,6 @@ class Problem:
         """k fresh samples, leaving the stream where k draw_sample calls
         leave it; item i of the result is the i-th of those samples."""
         return [self.draw_sample(rng) for _ in range(k)]
-
-    def grad_with_sample_batch(
-        self, x: np.ndarray, y: np.ndarray, samples
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sampled gradients at a stack of points: row i of x (S, m) and
-        y (S, n) with samples[i]. Returns (gx (S, m), gy (S, n)), each row
-        bit-identical to grad_with_sample on that point alone.
-
-        This default loops over the rows without validating them: a row
-        that has diverged must not stop the loop, since the caller's
-        finiteness check on the iterates reports it. A row whose gradient is
-        non-finite gets NaN gradients.
-        """
-        return _rows(self.grad_with_sample, x, y, samples)
-
-    def exact_grad_batch(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """exact_grad at each row of x (S, m) and y (S, n), unvalidated like
-        grad_with_sample_batch (a non-finite row gets NaN)."""
-        return _rows(self.exact_grad, x, y)
-
-    def value_batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """value at each row of x (S, m) and y (S, n); shape (S,)."""
-        return np.array([self.value(JointPoint._view(xi, yi)) for xi, yi in zip(x, y)])
-
-    def closed_phi_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """closed_phi at each row of x (S, m): (phi (S,), y*(x) (S, n)).
-        Only for problems whose closed_phi is not None."""
-        rows = [self.closed_phi(xi) for xi in x]
-        return np.array([r[0] for r in rows]), np.stack([r[1] for r in rows])
 
     dist_to_opt = None  # optional callable point -> float
 
@@ -208,23 +215,6 @@ class Problem:
         if not np.all(np.isfinite(z)):
             raise ParameterError("random_points: non-finite entries")
         return z[:, : self.m], z[:, self.m :]
-
-
-def _rows(grad, x: np.ndarray, y: np.ndarray, samples=None) -> tuple[np.ndarray, np.ndarray]:
-    """Stack grad(point) -> GradSample, or grad(point, samples[i]), over the
-    rows of x (S, m) and y (S, n); a row whose gradient is non-finite gets
-    NaN."""
-    gx = np.empty(x.shape)
-    gy = np.empty(y.shape)
-    for i in range(x.shape[0]):
-        point = JointPoint._view(x[i], y[i])
-        try:
-            g = grad(point) if samples is None else grad(point, samples[i])
-        except ParameterError:  # GradSample found non-finite entries
-            gx[i], gy[i] = np.nan, np.nan
-            continue
-        gx[i], gy[i] = g.gx, g.gy
-    return gx, gy
 
 
 @dataclass(frozen=True)
@@ -304,8 +294,9 @@ def check_oracle(
     The draws go through the batched oracle the optimizers use
     (draw_samples, then grad_with_sample_batch on the probe point repeated
     per row), in chunks of _AUDIT_CHUNK. Every sampled gradient must be
-    finite, and the first row at each point must equal grad_with_sample on
-    that sample exactly, so the audit covers both oracles. Moments are
+    finite, and the first row at each point must equal the S = 1 view
+    grad_with_sample on that sample exactly, so a row's gradient does not
+    depend on the rows stacked with it. Moments are
     summed in draw order, so every reported number is the one a loop over
     single draws gives.
 

@@ -14,15 +14,15 @@ Three factories:
 The stochastic oracle adds a state-independent Gaussian vector with total
 variance sigma^2 split across the joint dimension, so the variance bound is
 tight and exactly known. Gradients, values and the closed phi are
-written once, for one point or for a stack of points (one per row), so
-the batched and single-point forms share their arithmetic.
+written once, for a stack of points (one per row); the single-point forms
+are Problem's S = 1 views of them.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from ..core import ConstructionError, DimensionError, ParameterError, RngStream, row_dot
-from .base import GradSample, JointPoint, Problem, ProblemConstants
+from .base import JointPoint, Problem, ProblemConstants
 
 _PINV_CUTOFF = 1e-10
 _RANGE_TOL = 1e-10
@@ -43,47 +43,22 @@ def sym_pinv(a: np.ndarray, cutoff: float = _PINV_CUTOFF):
 
 
 def _mv(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """mat @ v for one vector v, or for each row of a stack v (S, k).
+    """mat @ row for each row of a stack v (S, k).
 
-    Stacked matmul runs one matrix-vector product per row, so each row is
-    bit-identical to mat @ row whatever S is; the plain v @ mat.T is one
-    matrix product whose summation order changes low-order bits at S >= 2.
+    Stacked matmul runs one matrix-vector product per row, so each row's
+    bits do not depend on S; the plain v @ mat.T is one matrix product
+    whose summation order changes low-order bits at S >= 2.
     """
-    if v.ndim == 1:
-        return mat @ v
     return np.matmul(mat, v[..., None])[..., 0]
 
 
 class _AdditiveNoiseProblem(Problem):
     """Analytic problem whose sampled gradient is exact + Gaussian noise.
 
-    Subclasses define _grads(x, y) -> (gx, gy) and _value(x, y) -> F, and
-    where phi has a closed form _phi(x) -> (phi, y*), each on one point
-    (1-d x, y) or on stacked rows (2-d), elementwise and through _mv and
-    row_dot only, so each row of the stacked form is bit-identical to the
-    single-point form.
+    Subclasses define exact_grad_batch and value_batch, and closed_phi_batch
+    where phi has a closed form, elementwise and through _mv and row_dot
+    only, so each row's bits do not depend on the other rows.
     """
-
-    def _grads(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-    def _value(self, x: np.ndarray, y: np.ndarray):
-        raise NotImplementedError
-
-    def value(self, point: JointPoint) -> float:
-        return float(self._value(point.x, point.y))
-
-    def value_batch(self, x, y):
-        return self._value(x, y)
-
-    def exact_grad(self, point: JointPoint) -> GradSample:
-        return GradSample(*self._grads(point.x, point.y))
-
-    def exact_grad_batch(self, x, y):
-        return self._grads(x, y)
-
-    def closed_phi_batch(self, x):
-        return self._phi(x)
 
     def _set_constants(self, constants: ProblemConstants) -> None:
         """Set the constants and the per-coordinate noise std they imply,
@@ -105,14 +80,8 @@ class _AdditiveNoiseProblem(Problem):
         d = self.m + self.n
         return rng.gauss(k * d, self._noise_std).reshape(k, d)
 
-    def grad_with_sample(self, point: JointPoint, sample) -> GradSample:
-        g = self.exact_grad(point)
-        if sample is None:
-            return g
-        return GradSample(g.gx + sample[: self.m], g.gy + sample[self.m :])
-
     def grad_with_sample_batch(self, x, y, samples):
-        gx, gy = self._grads(x, y)
+        gx, gy = self.exact_grad_batch(x, y)
         if samples[0] is None:  # sigma == 0 draws no noise for any row
             return gx, gy
         z = np.asarray(samples)
@@ -143,22 +112,18 @@ class _ScscQuadratic(_AdditiveNoiseProblem):
         self.nash_point = JointPoint(np.zeros(m), np.zeros(n))
         self.metadata = {"a": self.a, "coupling_norm": b_norm}
 
-    def _value(self, x, y):
+    def value_batch(self, x, y):
         return (
             0.5 * self.a * row_dot(x, x)
             + row_dot(x, _mv(self.b_mat, y))
             - 0.5 * self.a * row_dot(y, y)
         )
 
-    def _grads(self, x, y):
+    def exact_grad_batch(self, x, y):
         return self.a * x + _mv(self.b_mat, y), _mv(self.b_mat.T, x) - self.a * y
 
-    def closed_phi(self, x: np.ndarray):
+    def closed_phi_batch(self, x):
         """phi(x) = (a/2)|x|^2 + |B'x|^2/(2a), maximizer y*(x) = B'x / a."""
-        phi, y_star = self._phi(np.asarray(x, dtype=np.float64))
-        return float(phi), y_star
-
-    def _phi(self, x):
         bt_x = _mv(self.b_mat.T, x)
         phi = 0.5 * self.a * row_dot(x, x) + row_dot(bt_x, bt_x) / (2.0 * self.a)
         return phi, bt_x / self.a
@@ -185,10 +150,10 @@ class _Bilinear(_AdditiveNoiseProblem):
         self.nash_point = JointPoint(np.zeros(m), np.zeros(n))
         self.metadata = {}
 
-    def _value(self, x, y):
+    def value_batch(self, x, y):
         return row_dot(x, y)
 
-    def _grads(self, x, y):
+    def exact_grad_batch(self, x, y):
         return y.copy(), x.copy()
 
     def dist_to_opt(self, point: JointPoint) -> float:
@@ -253,24 +218,20 @@ class _NcplQuadratic(_AdditiveNoiseProblem):
         # the bits do not move
         return row_dot(0.5 * x, _mv(self.q, x)) + self.c * np.sin(x).sum(axis=-1)
 
-    def _value(self, x, y):
+    def value_batch(self, x, y):
         return (
             self._g(x)
             + row_dot(y, _mv(self.b_mat, x))
             - row_dot(0.5 * y, _mv(self.a_mat, y))
         )
 
-    def _grads(self, x, y):
+    def exact_grad_batch(self, x, y):
         gx = _mv(self.q, x) + self.c * np.cos(x) + _mv(self.b_mat.T, y)
         gy = _mv(self.b_mat, x) - _mv(self.a_mat, y)
         return gx, gy
 
-    def closed_phi(self, x: np.ndarray):
+    def closed_phi_batch(self, x):
         """phi(x) = g(x) + (1/2)(Bx)'A^+(Bx); maximizer y*(x) = A^+ B x."""
-        phi, y_star = self._phi(np.asarray(x, dtype=np.float64))
-        return float(phi), y_star
-
-    def _phi(self, x):
         phi = self._g(x) + row_dot(0.5 * x, _mv(self.phi_quad, x))
         return phi, _mv(self.a_pinv, _mv(self.b_mat, x))
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .. import mlp
 from ..core import DimensionError, ParameterError, RngStream
-from .base import GradSample, JointPoint, Problem, ProblemConstants
+from .base import JointPoint, Problem, ProblemConstants
 
 
 class _RobustRegression(Problem):
@@ -67,43 +67,36 @@ class _RobustRegression(Problem):
     def _fw(self, x_rows: np.ndarray, w: np.ndarray) -> np.ndarray:
         return mlp.forward_batch(self.arch, w, x_rows)[..., 0]
 
-    def value(self, point: JointPoint) -> float:
-        self.check_point(point)
-        f = self._fw(self.x_data, point.x)
-        r = f - point.y
-        pen = point.y - self.targets
-        return float(np.mean(0.5 * r * r - 0.5 * self.lam * pen * pen))
+    def _dataset_blocks(self, x: np.ndarray):
+        """(block, the dataset as a broadcast (rows, N, d) view, f_w at it
+        (rows, N)) for each block of rows of x (mlp.row_blocks)."""
+        for blk in mlp.row_blocks(self.arch, len(x), self.n):
+            xs = np.broadcast_to(self.x_data, (blk.stop - blk.start,) + self.x_data.shape)
+            yield blk, xs, self._fw(xs, x[blk])
 
-    def exact_grad(self, point: JointPoint) -> GradSample:
-        self.check_point(point)
-        w, y = point.x, point.y
-        f = self._fw(self.x_data, w)
-        r = f - y
-        gw, _ = mlp.backward_batch(self.arch, w, self.x_data, (r / self.n)[:, None])
-        gy = (y - f - self.lam * (y - self.targets)) / self.n
-        return GradSample(gw, gy)
+    def value_batch(self, x, y):
+        v = np.empty(len(x))
+        for blk, _, f in self._dataset_blocks(x):
+            r = f - y[blk]
+            pen = y[blk] - self.targets
+            v[blk] = np.mean(0.5 * r * r - 0.5 * self.lam * pen * pen, axis=-1)
+        return v
+
+    def exact_grad_batch(self, x, y):
+        gx = np.empty(x.shape)
+        gy = np.empty(y.shape)
+        for blk, xs, f in self._dataset_blocks(x):
+            r = f - y[blk]
+            gx[blk], _ = mlp.backward_batch(self.arch, x[blk], xs, (r / self.n)[..., None])
+            gy[blk] = (y[blk] - f - self.lam * (y[blk] - self.targets)) / self.n
+        return gx, gy
 
     def draw_sample(self, rng: RngStream):
         return rng.integers(0, self.n, size=self.batch)
 
-    def grad_with_sample(self, point: JointPoint, sample) -> GradSample:
-        self.check_point(point)
-        idx = np.asarray(sample)
-        w, y = point.x, point.y
-        xs = self.x_data[idx]
-        f = self._fw(xs, w)
-        ys = y[idx]
-        r = f - ys
-        gw, _ = mlp.backward_batch(self.arch, w, xs, (r / self.batch)[:, None])
-        gy = np.zeros(self.n)
-        np.add.at(gy, idx, (ys - f - self.lam * (ys - self.targets[idx])) / self.batch)
-        return GradSample(gw, gy)
-
     def grad_with_sample_batch(self, x, y, samples):
-        """grad_with_sample at each row, one stacked forward and backward
-        pass per block of rows (mlp.row_blocks) and one np.add.at per block
-        for the y-gradients. Each row equals grad_with_sample bit for bit; a
-        non-finite row gets non-finite gradients, not an error."""
+        """One stacked forward and backward pass per block of rows
+        (mlp.row_blocks) and one np.add.at per block for the y-gradients."""
         idx_all = np.asarray(samples)
         gx = np.empty(x.shape)
         gy = np.zeros(y.shape)
@@ -116,17 +109,19 @@ class _RobustRegression(Problem):
             r = f - ys
             gx[blk], _ = mlp.backward_batch(self.arch, w, xs, (r / self.batch)[..., None])
             # (row, index) pairs in row-major order: each row's entries add
-            # up in the order grad_with_sample adds them
+            # up in sample order
             np.add.at(
                 gy, (rows, idx), (ys - f - self.lam * (ys - self.targets[idx])) / self.batch
             )
         return gx, gy
 
-    def closed_phi(self, w: np.ndarray):
-        f = self._fw(self.x_data, np.asarray(w, dtype=np.float64))
-        y_star = (self.lam * self.targets - f) / (self.lam - 1.0)
-        res = f - self.targets
-        phi = self.lam / (2.0 * (self.lam - 1.0)) * float(np.mean(res * res))
+    def closed_phi_batch(self, x):
+        phi = np.empty(len(x))
+        y_star = np.empty((len(x), self.n))
+        for blk, _, f in self._dataset_blocks(x):
+            y_star[blk] = (self.lam * self.targets - f) / (self.lam - 1.0)
+            res = f - self.targets
+            phi[blk] = self.lam / (2.0 * (self.lam - 1.0)) * np.mean(res * res, axis=-1)
         return phi, y_star
 
     def default_init(self, seed: int | None = None) -> JointPoint:

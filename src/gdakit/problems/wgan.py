@@ -22,8 +22,8 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
 from .. import mlp
-from ..core import DimensionError, ParameterError, RngStream
-from .base import GradSample, JointPoint, Problem, ProblemConstants
+from ..core import DimensionError, ParameterError, RngStream, row_dot
+from .base import JointPoint, Problem, ProblemConstants
 
 
 def _gauss_grid_2d(nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -81,75 +81,72 @@ class _GaussianWgan(Problem):
         self._w2 = w2
         self._x_nodes = mu + sg * xi  # data-side quadrature points, fixed
 
-    # -- helpers ------------------------------------------------------------
-    @staticmethod
-    def _split_theta(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return x[:2], x[2:]
-
-    def _fake_inputs(self, theta: np.ndarray, z: np.ndarray) -> np.ndarray:
-        t_mu, t_sg = self._split_theta(theta)
-        return t_mu + t_sg * z
-
     # -- oracle -------------------------------------------------------------
-    def value(self, point: JointPoint) -> float:
-        self.check_point(point)
-        u = self._fake_inputs(point.x, self._xi)
-        f_real = mlp.forward_batch(self.arch, point.y, self._x_nodes)[:, 0]
-        f_fake = mlp.forward_batch(self.arch, point.y, u)[:, 0]
-        return float(self._w2 @ f_real - self._w2 @ f_fake)
+    def value_batch(self, x, y):
+        """Quadrature value: one stacked forward pass over the data nodes
+        and one over the generated nodes per block of rows."""
+        v = np.empty(len(x))
+        nodes = len(self._w2)
+        for blk in mlp.row_blocks(self.arch, len(x), nodes, slices_per_row=2):
+            shape = (blk.stop - blk.start, nodes)
+            u = x[blk, None, :2] + x[blk, None, 2:] * self._xi
+            f_real = mlp.forward_batch(
+                self.arch, y[blk], np.broadcast_to(self._x_nodes, shape + (2,))
+            )[..., 0]
+            f_fake = mlp.forward_batch(self.arch, y[blk], u)[..., 0]
+            w2 = np.broadcast_to(self._w2, shape)
+            v[blk] = row_dot(w2, f_real) - row_dot(w2, f_fake)
+        return v
 
-    def _grad(self, point: JointPoint, x_in, z_in, wts) -> GradSample:
-        """Weighted gradient: sum_i wts[i] * grad f(x_in[i]) minus the same
-        over the generator pass at z_in; wts must sum to one."""
-        u = self._fake_inputs(point.x, z_in)
-        col = wts[:, None]
-        gw_real, _ = mlp.backward_batch(self.arch, point.y, x_in, col)
-        gw_fake, gu = mlp.backward_batch(self.arch, point.y, u, -col)
-        # gu rows already carry -w_i * df/du
-        g_mu = gu.sum(axis=0)
-        g_sigma = (gu * z_in).sum(axis=0)
-        return GradSample(np.concatenate([g_mu, g_sigma]), gw_real + gw_fake)
-
-    def exact_grad(self, point: JointPoint) -> GradSample:
-        self.check_point(point)
-        return self._grad(point, self._x_nodes, self._xi, self._w2)
+    def exact_grad_batch(self, x, y):
+        """Quadrature gradient: _grad_stack with every row's data and
+        generator inputs at the node grid, weighted by the quadrature."""
+        shape = (len(x),) + self._xi.shape
+        nodes = np.broadcast_to(self._x_nodes, shape)
+        return self._grad_stack(x, y, nodes, np.broadcast_to(self._xi, shape), self._w2)
 
     def draw_sample(self, rng: RngStream):
         x = self.mu_star + self.sigma_star * rng.standard_normal((self.batch, 2))
         z = rng.standard_normal((self.batch, 2))
         return x, z
 
-    def grad_with_sample(self, point: JointPoint, sample) -> GradSample:
-        self.check_point(point)
-        x, z = sample
-        wts = np.full(x.shape[0], 1.0 / x.shape[0])
-        return self._grad(point, x, z, wts)
+    def draw_samples(self, rng: RngStream, k: int):
+        """k minibatches as one (k, 2, B, 2) block, item i the (data, z) of
+        the i-th of k draw_sample calls: draw_sample fills its data then its
+        z from the stream, so one block holds the same normals in order."""
+        xz = rng.standard_normal((k, 2, self.batch, 2))
+        xz[:, 0] = self.mu_star + self.sigma_star * xz[:, 0]
+        return xz
 
     def grad_with_sample_batch(self, x, y, samples):
-        """grad_with_sample at each row, one stacked backward pass per block
-        of rows (mlp.row_blocks). Each row equals grad_with_sample bit for
-        bit; a non-finite row gets non-finite gradients, not an error."""
+        """Minibatch gradients: _grad_stack with row i's data and z from
+        samples[i], each input weighted 1/B."""
+        xz = np.asarray(samples)  # (S, 2, B, 2)
+        return self._grad_stack(x, y, xz[:, 0], xz[:, 1], 1.0 / xz.shape[2])
+
+    def _grad_stack(self, x, y, data, z, wts):
+        """Gradients at the rows of x (S, m), y (S, n): row i's is
+        sum_j wts[j] grad f(data[i, j]) minus the same over its generated
+        inputs theta_mu + theta_sigma * z[i, j], with row i's critic
+        weights; data and z are (S, B, 2), and wts (B,) sums to one (a
+        scalar weights every input alike). One backward pass over 2S slices
+        per block of rows (mlp.row_blocks): slice i is the data pass, slice
+        S + i the generator pass. A non-finite row gets non-finite
+        gradients, not an error."""
         gx = np.empty(x.shape)
         gy = np.empty(y.shape)
-        for blk in mlp.row_blocks(self.arch, len(x), self.batch, slices_per_row=2):
-            gx[blk], gy[blk] = self._grad_stack(x[blk], y[blk], samples[blk])
+        for blk in mlp.row_blocks(self.arch, len(x), z.shape[1], slices_per_row=2):
+            s, zb = blk.stop - blk.start, z[blk]
+            inputs = np.concatenate([data[blk], x[blk, None, :2] + x[blk, None, 2:] * zb])
+            col = np.empty(inputs.shape[:2] + (1,))
+            col[:s, :, 0] = wts
+            np.negative(col[:s], out=col[s:])
+            pg, ig = mlp.backward_batch(self.arch, np.concatenate([y[blk], y[blk]]), inputs, col)
+            gu = ig[s:]  # rows already carry -wts[j] * df/du
+            gx[blk, :2] = gu.sum(axis=1)
+            gx[blk, 2:] = (gu * zb).sum(axis=1)
+            gy[blk] = pg[:s] + pg[s:]
         return gx, gy
-
-    def _grad_stack(self, x, y, samples):
-        """Minibatch gradients of S rows from one backward pass over 2S
-        slices: slice i is row i's data minibatch, slice S + i its generator
-        minibatch, each with row i's critic weights (as _grad, row by row)."""
-        s = len(x)
-        xz = np.array(samples)  # (S, 2, B, 2): row i's (data, z)
-        z = xz[:, 1]
-        inputs = np.concatenate([xz[:, 0], x[:, None, :2] + x[:, None, 2:] * z])
-        # weight 1/B per data row, -1/B per generated row
-        wts = np.full(inputs.shape[:2] + (1,), 1.0 / z.shape[1])
-        np.negative(wts[s:], out=wts[s:])
-        pg, ig = mlp.backward_batch(self.arch, np.concatenate([y, y]), inputs, wts)
-        gu = ig[s:]
-        g_theta = np.concatenate([gu.sum(axis=1), (gu * z).sum(axis=1)], axis=1)
-        return g_theta, pg[:s] + pg[s:]
 
     # -- extras -------------------------------------------------------------
     def dist_to_opt(self, point: JointPoint) -> float:

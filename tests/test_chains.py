@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from gdakit import mlp
-from gdakit.core import RngStream
+from gdakit.core import CapabilityError, RngStream
 from gdakit.optimizers import DiagConfig, Esgda, Rsgda, Sgda, SgdMax, run, run_chains
 from gdakit.problems import (
     JointPoint,
-    Problem,
     make_bilinear,
     make_gaussian_wgan,
     make_robust_regression,
@@ -64,19 +63,37 @@ def test_chain_outputs_do_not_depend_on_companion_chains(problem_name, kind_name
 @pytest.mark.parametrize("instance", range(10))
 @pytest.mark.parametrize("sigma", [0.0, 0.5])
 def test_batched_oracle_rows_match_per_point_oracle(instance, sigma):
+    # every stacked form's row i equals its S = 1 view at row i alone
     rng = RngStream(instance, 3)
     for prob in (
         random_ncpl_instance(instance, sigma=sigma),
         make_scsc_quadratic(0.7, rng.standard_normal((3, 4)), 3, 4, sigma=sigma),
         make_bilinear(3, 3, sigma=sigma),
+        *(make() for make in MLP_PROBLEMS.values()),
     ):
         s = 1 + instance % 5
         x = rng.standard_normal((s, prob.m))
         y = rng.standard_normal((s, prob.n))
         samples = [prob.draw_sample(rng) for _ in range(s)]
         gx, gy = prob.grad_with_sample_batch(x, y, samples)
-        ref_x, ref_y = Problem.grad_with_sample_batch(prob, x, y, samples)
-        assert np.array_equal(gx, ref_x) and np.array_equal(gy, ref_y)
+        ex, ey = prob.exact_grad_batch(x, y)
+        vals = prob.value_batch(x, y)
+        has_phi = prob.closed_phi_batch is not None
+        if has_phi:
+            phi, y_star = prob.closed_phi_batch(x)
+        for i in range(s):
+            pt = JointPoint(x[i], y[i])
+            g = prob.grad_with_sample(pt, samples[i])
+            assert np.array_equal(gx[i], g.gx) and np.array_equal(gy[i], g.gy)
+            e = prob.exact_grad(pt)
+            assert np.array_equal(ex[i], e.gx) and np.array_equal(ey[i], e.gy)
+            assert vals[i] == prob.value(pt)
+            if has_phi:
+                want_phi, want_y = prob.closed_phi(x[i])
+                assert phi[i] == want_phi and np.array_equal(y_star[i], want_y)
+            else:
+                with pytest.raises(CapabilityError):
+                    prob.closed_phi(x[i])
 
 
 def _diverged_rows():
@@ -87,17 +104,6 @@ def _diverged_rows():
     y[0] = np.inf
     samples = [prob.draw_sample(RngStream(i, 0)) for i in range(2)]
     return prob, pts, x, y, samples
-
-
-def test_default_batched_oracle_leaves_diverged_rows_to_the_caller():
-    # a non-finite row must not raise: run_chains reports it from the iterate
-    prob, pts, x, y, samples = _diverged_rows()
-    # as run_chains calls it: with numpy overflow warnings off
-    with np.errstate(over="ignore", invalid="ignore"):
-        gx, gy = Problem.grad_with_sample_batch(prob, x, y, samples)
-    assert np.isnan(gx[0]).all() and np.isnan(gy[0]).all()
-    g1 = prob.grad_with_sample(pts[1], samples[1])
-    assert np.array_equal(gx[1], g1.gx) and np.array_equal(gy[1], g1.gy)
 
 
 def test_stacked_mlp_oracle_leaves_diverged_rows_to_the_caller():

@@ -1,5 +1,6 @@
 """Config parsing, file formats, the four harness commands, and CLI exit
 codes, all against temp directories."""
+import hashlib
 import json
 import os
 import shutil
@@ -554,6 +555,46 @@ _SHIPPED = {
     "check": "check_scsc.json",
 }
 
+# sha256 of every file the shipped configs write, first recorded when the
+# batched-chain engine replaced the per-seed run loop; no change since has
+# moved them
+_SHIPPED_SHA256 = {
+    "check_scsc/check.json": "c1c15315d22f66df03db0c58d8a151b61929c7b1aa08d6b78e4cdbed71738eb7",
+    "compare_wgan/compare_seed0.csv": "6affef174553615c979a6010437c411d6b9373e7a2f37801d6b206d81ec2d3b9",
+    "compare_wgan/compare_seed1.csv": "f4d8fd04b09f823657e6ca27949c542ee5230b42206c65b390111a720ee5bdd2",
+    "compare_wgan/summary.json": "94bf365c34b2c32cbdb2c434100c798b0ea6e3b3c6d6e3b37edbe260d3d86947",
+    "pselect_ncpl/pselect.json": "ad442358a4fcc6cf435a8925e59f032e807d06f9e6b6d12e48a628c8320030fb",
+    "pselect_ncpl/pselect_curve.csv": "dd936ee20c573b76c666f5ae009a7a6757523a384f0ffbca198689c801524c70",
+    "run_scsc_rsgda/final_x_seed0.csv": "8c97c811d899b39cc2ae65647f2713e21487ddfa3cbcd32f8dfbf5215554a873",
+    "run_scsc_rsgda/final_x_seed1.csv": "e46dc3c76d8aba4c1a08044b68c75679fc39ef04db71061682aa110dd0576970",
+    "run_scsc_rsgda/final_x_seed2.csv": "fbc627103b967df8a4f6c8f4b49fdd9f9743ab35c66d2803b80591490d095893",
+    "run_scsc_rsgda/final_y_seed0.csv": "1cafdab1d6314803a954b47be8c12a20d41a3ed7b22d048f4f74eed0f498947d",
+    "run_scsc_rsgda/final_y_seed1.csv": "45e2c3fd9c243553fd4d99bb231b78de0db20ffc3cb0b487177f2c4d5c913a44",
+    "run_scsc_rsgda/final_y_seed2.csv": "ef8a2b73480eb7005f71b0373e2d4787138c5fba1ed0b89c850dc475156f6185",
+    "run_scsc_rsgda/summary.json": "b9b053d7f2c1ec9d372809ce36657b4188491727b2c3e7cb7dd1e1724e044581",
+    "run_scsc_rsgda/trace_seed0.csv": "03eafac093a75f6371243322d02ac2fa26ad3a098abedbde0190dc36fb7c4f16",
+    "run_scsc_rsgda/trace_seed1.csv": "0d2e57de00b62125ee0030ef16898c01df524ff7472ba6977a7dfd142386d782",
+    "run_scsc_rsgda/trace_seed2.csv": "42c5c1e867ea3798e2290d2c49b8b90a5d1d92c4857a5cca9ec59ade08036098",
+}
+
+
+def test_shipped_configs_write_their_pinned_outputs(tmp_path, capsys):
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    for command, name in _SHIPPED.items():
+        out = tmp_path / Path(name).stem
+        assert main([command, str(configs / name), "--out", str(out)]) == 0
+    got = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*")
+        if path.is_file()
+    }
+    differ = sorted(
+        key for key in got.keys() | _SHIPPED_SHA256.keys()
+        if got.get(key) != _SHIPPED_SHA256.get(key)
+    )
+    assert not differ, f"outputs that differ from their pinned sha256: {differ}"
+
+
 # (command, edits to its shipped config by dotted path, the key the error
 # must name); none of these exited 2 while the harness coerced values with
 # int()/float()/bool(): most ran, some ended in a traceback
@@ -576,6 +617,11 @@ _MALFORMED = [
     # an infeasible plan, which "false" must not waive
     ("run", {"plan.alpha": 10.0, "waive_constraints": "false"}, "waive_constraints"),
     ("compare", {"series.0.optimizer.params.m": 5.5}, "optimizer.params.m"),
+    # misspelt keys of the problem, optimizer and series objects, which
+    # were silently ignored
+    ("run", {"optimizer.parmas": {"delta": 0.5}}, "optimizer.parmas"),
+    ("run", {"problem.parmas": {"sigma": 0.5}}, "problem.parmas"),
+    ("compare", {"series.1.plna": {"kind": "constant", "alpha": 0.02}}, "series[1].plna"),
     ("compare", {"checkpoints": True}, "checkpoints"),
 ]
 

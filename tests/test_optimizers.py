@@ -211,15 +211,19 @@ def test_rsgda_tiny_p_takes_ascent_branch():
 
 def test_rsgda_branch_fraction_matches_p():
     prob = make_scsc_quadratic(1.0, None, 1, 1)
-    state = _state(0.5, 0.5, seed=11)
     n = 100_000
-    for _ in range(n):
-        state = rsgda_step(prob, state, 0.01, 0.01, p=0.25)
-    frac = state.x_steps / n
+    # one chain: the same steps on the same stream as n rsgda_step calls
+    # from _state(0.5, 0.5, seed=11)
+    res = run(
+        prob, Rsgda(), constant_plan(0.01, 0.01, 0.25),
+        JointPoint(np.array([0.5]), np.array([0.5])), n, RngStream(11, 0),
+        DiagConfig(interval=n, grad_norms=False, dist=False), waive_constraints=True,
+    )
+    frac = res.summary["x_steps"] / n
     se = np.sqrt(0.25 * 0.75 / n)
     assert abs(frac - 0.25) < 3 * se
-    assert state.x_steps + state.y_steps == n
-    assert state.grad_evals == n
+    assert res.summary["x_steps"] + res.summary["y_steps"] == n
+    assert res.summary["grad_evals"] == n
 
 
 def test_rsgda_stream_use_is_branch_independent():

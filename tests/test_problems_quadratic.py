@@ -78,7 +78,7 @@ def test_bilinear_worked_values():
 def test_bilinear_has_no_inner_curvature_certificate():
     prob = make_bilinear(2, 2)
     assert prob.pl_condition is False
-    assert prob.closed_phi is None
+    assert prob.closed_phi_batch is None
     assert prob.constants.provenance == "placeholder"
 
 
@@ -164,13 +164,13 @@ def test_noise_second_moment_matches_sigma():
     pt = JointPoint(np.ones(3), np.ones(2))
     exact = prob.exact_grad(pt)
     n = 10**5
-    total = 0.0
-    total_sq = 0.0
-    for _ in range(n):
-        g = prob.stoch_grad(pt, rng)
-        s = float(np.sum((g.gx - exact.gx) ** 2) + np.sum((g.gy - exact.gy) ** 2))
-        total += s
-        total_sq += s * s
+    # n stoch_grad draws as one stacked call; cumsum adds in draw order
+    gx, gy = prob.grad_with_sample_batch(
+        np.broadcast_to(pt.x, (n, 3)), np.broadcast_to(pt.y, (n, 2)), prob.draw_samples(rng, n)
+    )
+    s = np.sum((gx - exact.gx) ** 2, axis=1) + np.sum((gy - exact.gy) ** 2, axis=1)
+    total = float(np.cumsum(s)[-1])
+    total_sq = float(np.cumsum(s * s)[-1])
     mean = total / n
     assert abs(mean - 1.0) < 0.1
     se = np.sqrt(max(total_sq / n - mean**2, 0.0) / n)

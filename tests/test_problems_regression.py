@@ -78,13 +78,14 @@ def test_stoch_grad_unbiased_for_y_block():
     exact = prob.exact_grad(pt)
     flat_exact = np.concatenate([exact.gx, exact.gy])
     n = 20000
-    s1 = np.zeros(flat_exact.size)
-    s2 = np.zeros(flat_exact.size)
-    for _ in range(n):
-        g = prob.stoch_grad(pt, rng)
-        flat = np.concatenate([g.gx, g.gy])
-        s1 += flat
-        s2 += flat * flat
+    # n stoch_grad draws as one stacked call; cumsum adds in draw order
+    gx, gy = prob.grad_with_sample_batch(
+        np.broadcast_to(pt.x, (n, prob.m)), np.broadcast_to(pt.y, (n, prob.n)),
+        prob.draw_samples(rng, n),
+    )
+    flat = np.concatenate([gx, gy], axis=1)
+    s1 = np.cumsum(flat, axis=0)[-1]
+    s2 = np.cumsum(flat * flat, axis=0)[-1]
     mean = s1 / n
     var = np.maximum(s2 / n - mean * mean, 0.0)
     se = np.sqrt(var.sum() / n)

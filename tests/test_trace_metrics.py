@@ -38,7 +38,7 @@ _KEYS = ("grad_x_norm", "grad_y_norm", "h", "v", "dist", "loss")
 def _ref_phi(problem, point, diag):
     """(phi, y*) at one point: closed form, or the certified inner ascent
     with its relative default tolerance."""
-    if problem.closed_phi is not None:
+    if problem.closed_phi_batch is not None:
         return problem.closed_phi(point.x)
     tol = diag.inner_tol
     if tol is None:
@@ -73,7 +73,7 @@ def _metrics(problem, point, diag):
         out["grad_x_norm"] = float(np.linalg.norm(g.gx))
         out["grad_y_norm"] = float(np.linalg.norm(g.gy))
     can_phi = problem.pl_condition and (
-        problem.closed_phi is not None or diag.inner_budget > 0
+        problem.closed_phi_batch is not None or diag.inner_budget > 0
     )
     if diag.h and can_phi:
         out["h"] = _ref_h(problem, point, diag)
@@ -145,7 +145,7 @@ def _bits(records):
 
 
 def _without_closed_phi(problem):
-    problem.closed_phi = None
+    problem.closed_phi_batch = None
     return problem
 
 
@@ -156,7 +156,7 @@ PROBLEMS = {
     "random_ncpl": lambda: random_ncpl_instance(3, sigma=0.5),
     # no phi: h and v stay None
     "bilinear": lambda: make_bilinear(3, 3, sigma=0.3),
-    # per-row closed_phi_batch, value_batch and exact_grad_batch
+    # MLP-backed closed_phi_batch, value_batch and exact_grad_batch
     "robust_regression": lambda: make_robust_regression(
         n=30, d=4, reg_arch=(4, 3, 1), batch=10, rng_seed=2
     ),
