@@ -105,8 +105,10 @@ class RngStream:
             return np.zeros(dim)
         return std * self._gen.standard_normal(dim)
 
-    def standard_normal(self, shape) -> np.ndarray:
-        return self._gen.standard_normal(shape)
+    def standard_normal(self, shape=None, *, out: np.ndarray | None = None) -> np.ndarray:
+        """Standard normals of the given shape, or filling out (a C-contiguous
+        float64 array) with the values standard_normal(out.shape) returns."""
+        return self._gen.standard_normal(shape, out=out)
 
     def uniform(self) -> float:
         return float(self._gen.random())

@@ -47,21 +47,23 @@ from .schedules import StepPlan, require_feasible
 class ChainStep(NamedTuple):
     """One step of S chains: the new (S, m)/(S, n) iterates, each chain's x-
     and y-update counts (an int shared by every chain, or an (S,) array),
-    the branch each chain took, and (chain index, message) warnings.
+    the branch the chains took, and (chain index, message) warnings.
     Every block update costs one gradient evaluation, so a chain's
-    evaluations are its x plus y updates."""
+    evaluations are its x plus y updates. branch is a label every chain
+    shares, or an (S,) bool array that is True where a chain updated x;
+    label(i) is chain i's label, made only for the rows that are used."""
 
     x: np.ndarray
     y: np.ndarray
     x_steps: int | np.ndarray
     y_steps: int | np.ndarray
-    branch: list[str]
+    branch: str | np.ndarray
     warnings: tuple[tuple[int, str], ...] = ()
 
-
-def _draws(problem: Problem, rngs: list[RngStream]) -> list:
-    """One fresh sample per chain, each from the chain's own stream."""
-    return [problem.draw_sample(rng) for rng in rngs]
+    def label(self, i: int) -> str:
+        if isinstance(self.branch, str):
+            return self.branch
+        return "x" if self.branch[i] else "y"
 
 
 @dataclass(frozen=True)
@@ -76,12 +78,12 @@ class Sgda:
 
     def step(self, problem, x, y, rngs, alpha, eta, p, k) -> ChainStep:
         """Ascent at (x, y), then descent at (x, y_new)."""
-        samples = _draws(problem, rngs)
+        samples = problem.draw_rows(rngs)
         y_new = y + eta * problem.grad_with_sample_batch(x, y, samples)[1]
         if not self.strict_sample_reuse:
-            samples = _draws(problem, rngs)
+            samples = problem.draw_rows(rngs)
         x_new = x - alpha * problem.grad_with_sample_batch(x, y_new, samples)[0]
-        return ChainStep(x_new, y_new, 1, 1, ["both"] * len(rngs))
+        return ChainStep(x_new, y_new, 1, 1, "both")
 
 
 @dataclass(frozen=True)
@@ -107,14 +109,14 @@ class SgdMax:
             for xi, yi in zip(x, y)
         ]
         y_new = np.stack([a[0] for a in ascents])
-        gx = problem.grad_with_sample_batch(x, y_new, _draws(problem, rngs))[0]
+        gx = problem.grad_with_sample_batch(x, y_new, problem.draw_rows(rngs))[0]
         warn = tuple(
             (i, f"sgdmax: inner budget {self.inner_max_iters} exhausted at k={k}")
             for i, a in enumerate(ascents)
             if not a[1]
         )
         inner = np.array([a[2] for a in ascents])
-        return ChainStep(x - alpha * gx, y_new, 1, inner, ["both"] * len(rngs), warn)
+        return ChainStep(x - alpha * gx, y_new, 1, inner, "both", warn)
 
 
 @dataclass(frozen=True)
@@ -135,9 +137,9 @@ class Esgda:
         """m chained stochastic ascent steps, then one descent step; every
         update draws a fresh sample."""
         for _ in range(self.m):
-            y = y + eta * problem.grad_with_sample_batch(x, y, _draws(problem, rngs))[1]
-        gx = problem.grad_with_sample_batch(x, y, _draws(problem, rngs))[0]
-        return ChainStep(x - alpha * gx, y, 1, self.m, ["both"] * len(rngs))
+            y = y + eta * problem.grad_with_sample_batch(x, y, problem.draw_rows(rngs))[1]
+        gx = problem.grad_with_sample_batch(x, y, problem.draw_rows(rngs))[0]
+        return ChainStep(x - alpha * gx, y, 1, self.m, "both")
 
 
 @dataclass(frozen=True)
@@ -155,14 +157,14 @@ class Rsgda:
         does not depend on the branch."""
         if not (0 < p <= 1):
             raise ParameterError(f"rsgda: p must lie in (0, 1], got {p}")
-        samples = _draws(problem, rngs)
-        take_x = np.array([rng.bernoulli(p) for rng in rngs])
+        samples = problem.draw_rows(rngs)
+        # the coin of RngStream.bernoulli(p), whose check p has passed above
+        take_x = np.array([rng.uniform() for rng in rngs]) < p
         gx, gy = problem.grad_with_sample_batch(x, y, samples)
         col = take_x[:, None]
         x_new = np.where(col, x - alpha * gx, x)
         y_new = np.where(col, y, y + eta * gy)
-        branch = ["x" if t else "y" for t in take_x]
-        return ChainStep(x_new, y_new, take_x, ~take_x, branch)
+        return ChainStep(x_new, y_new, take_x, ~take_x, take_x)
 
 
 OptKind = Union[Sgda, SgdMax, Esgda, Rsgda]
@@ -206,7 +208,7 @@ def _single_step(
         x_steps=state.x_steps + dx,
         y_steps=state.y_steps + dy,
         grad_evals=state.grad_evals + dx + dy,
-        last_branch=out.branch[0],
+        last_branch=out.label(0),
         warnings=state.warnings + tuple(msg for _, msg in out.warnings),
     )
 
@@ -295,7 +297,7 @@ def _trace_metrics(
     all rows and shared between the metrics that use it, and every row
     equals h_metric, lyapunov, the norm of exact_grad and value at that
     point alone. Problems without a closed phi run their inner ascent row
-    by row; dist is one dist_to_opt call per row."""
+    by row."""
     out: dict = dict.fromkeys(METRIC_KEYS)
     can_phi = problem.pl_condition and (
         problem.closed_phi_batch is not None or diag.inner_budget > 0
@@ -315,10 +317,8 @@ def _trace_metrics(
         out["h"] = h_rows(problem.constants, gx, gy, g_star).tolist()
     if want_v:
         out["v"] = merit_rows(phi, f, LYAPUNOV_C).tolist()
-    if diag.dist and problem.dist_to_opt is not None:
-        out["dist"] = [
-            float(problem.dist_to_opt(JointPoint._view(xi, yi))) for xi, yi in zip(x, y)
-        ]
+    if diag.dist and problem.dist_to_opt_batch is not None:
+        out["dist"] = problem.dist_to_opt_batch(x, y).tolist()
     if diag.loss:
         out["loss"] = f.tolist()
     cols = [[None] * len(x) if out[key] is None else out[key] for key in METRIC_KEYS]
@@ -334,14 +334,14 @@ def _flush(problem: Problem, diag: DiagConfig, pending: list, records: list) -> 
     s = len(records)
     rows = _trace_metrics(
         problem,
-        np.concatenate([entry[0] for entry in pending]),
-        np.concatenate([entry[1] for entry in pending]),
+        np.concatenate([entry[0].x for entry in pending]),
+        np.concatenate([entry[0].y for entry in pending]),
         diag,
     )
-    for j, (_, _, k, branch, alpha, eta, p) in enumerate(pending):
+    for j, (out, k, alpha, eta, p) in enumerate(pending):
         for i in range(s):
             records[i].append(
-                TraceRecord(k=k, branch=branch[i], alpha=alpha, eta=eta, p=p, **rows[j * s + i])
+                TraceRecord(k=k, branch=out.label(i), alpha=alpha, eta=eta, p=p, **rows[j * s + i])
             )
     pending.clear()
 
@@ -407,8 +407,8 @@ def run_chains(
     y_steps = np.zeros(s, dtype=np.int64)
     warnings: list[list[str]] = [[] for _ in range(s)]
     records: list[list[TraceRecord]] = [[] for _ in range(s)]
-    # logged steps whose metrics are not computed yet: (x, y, k, branch,
-    # alpha, eta, p), flushed as one stacked pass per _LOG_BLOCK rows
+    # logged steps whose metrics are not computed yet: (ChainStep, k, alpha,
+    # eta, p), flushed as one stacked pass per _LOG_BLOCK rows
     pending: list[tuple] = []
     # overflow surfaces as the non-finite iterate the check below reports,
     # or as an inf metric of a huge but finite iterate, not as a warning
@@ -425,7 +425,7 @@ def run_chains(
                 seed = rngs[i].base_seed
                 raise DivergenceError(
                     f"{kind.tag} on {problem.name}: seed {seed} diverged at step "
-                    f"k={k + 1} (branch {out.branch[i]}, alpha={alpha}, eta={eta}, "
+                    f"k={k + 1} (branch {out.label(i)}, alpha={alpha}, eta={eta}, "
                     f"p={p}): non-finite iterate",
                     seed=seed,
                     k=k + 1,
@@ -436,7 +436,7 @@ def run_chains(
             for i, msg in out.warnings:
                 warnings[i].append(msg)
             if (k + 1) % diag.interval == 0 or k + 1 == iters:
-                pending.append((x, y, k + 1, out.branch, alpha, eta, p))
+                pending.append((out, k + 1, alpha, eta, p))
                 if len(pending) * s >= _LOG_BLOCK:
                     _flush(problem, diag, pending, records)
         _flush(problem, diag, pending, records)

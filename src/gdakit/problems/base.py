@@ -39,16 +39,6 @@ class JointPoint:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-    @classmethod
-    def _view(cls, x: np.ndarray, y: np.ndarray) -> "JointPoint":
-        """A point on the caller's 1-d float64 arrays of the right lengths,
-        without the copy and the finiteness check: for loops that check
-        their iterates themselves and do not write to these arrays."""
-        point = object.__new__(cls)
-        object.__setattr__(point, "x", x)
-        object.__setattr__(point, "y", y)
-        return point
-
     @property
     def m(self) -> int:
         return self.x.shape[0]
@@ -116,14 +106,23 @@ class Problem:
 
     A subclass implements the stacked oracle only: value_batch,
     exact_grad_batch and grad_with_sample_batch at a stack of points (row i
-    of x (S, m) and y (S, n)), draw_sample, and closed_phi_batch where phi
-    has a closed form. value, exact_grad, grad_with_sample and closed_phi
-    are their S = 1 views, written once here. draw_samples and
-    random_points stack draw_sample and random_point. closed_phi_batch /
-    nash_point / dist_to_opt stay None when the problem cannot support
-    them. pl_condition is False for problems (bilinear coupling) whose
-    inner maximization has no curvature, so phi-based diagnostics refuse
-    them.
+    of x (S, m) and y (S, n)), closed_phi_batch where phi has a closed form
+    and dist_to_opt_batch where the optimum is known. value, exact_grad,
+    grad_with_sample, closed_phi and dist_to_opt are their S = 1 views,
+    written once here; random_points stacks random_point.
+
+    Samples are standard normals under an elementwise map: a subclass
+    declares sample_shape, the shape of one sample's normals (None when the
+    oracle is noiseless: every sample is None and nothing is drawn), and
+    _map_normals, which turns a stack of them into samples in place, each
+    row on its own. draw_samples, draw_rows and draw_sample are written
+    once from those two; a problem with other samples overrides
+    draw_samples and draw_rows.
+
+    closed_phi_batch / nash_point / dist_to_opt_batch stay None when the
+    problem cannot support them. pl_condition is False for problems
+    (bilinear coupling) whose inner maximization has no curvature, so
+    phi-based diagnostics refuse them.
     """
 
     name: str = "problem"
@@ -131,8 +130,12 @@ class Problem:
     n: int = 0
     constants: ProblemConstants | None = None
     pl_condition: bool = True
+    sample_shape: tuple[int, ...] | None = None
     # x (S, m) -> (phi (S,), y*(x) (S, n)), a method where a closed form exists
     closed_phi_batch = None
+    # (x (S, m), y (S, n)) -> distance of each row to the optimum (S,), a
+    # method where the optimum is known
+    dist_to_opt_batch = None
     nash_point: JointPoint | None = None
     metadata: dict = {}
 
@@ -156,8 +159,35 @@ class Problem:
         """
         raise NotImplementedError
 
-    def draw_sample(self, rng: RngStream) -> Any:
+    def _map_normals(self, z: np.ndarray) -> None:
+        """Turn z, a stack (k, *sample_shape) of standard normals, into k
+        samples in place, each row independently of the others."""
         raise NotImplementedError
+
+    def draw_samples(self, rng: RngStream, k: int):
+        """k fresh samples from one stream, item i the i-th drawn: one
+        (k, *sample_shape) block of normals, filled in row order."""
+        if self.sample_shape is None:
+            return [None] * k
+        z = rng.standard_normal((k, *self.sample_shape))
+        self._map_normals(z)
+        return z
+
+    def draw_rows(self, rngs: list[RngStream]):
+        """One fresh sample per stream, item i from rngs[i], each stream
+        left where draw_sample leaves it: each stream fills its own row of
+        one block, and the map runs once on the whole block."""
+        if self.sample_shape is None:
+            return [None] * len(rngs)
+        z = np.empty((len(rngs), *self.sample_shape))
+        for rng, row in zip(rngs, z):
+            rng.standard_normal(out=row)
+        self._map_normals(z)
+        return z
+
+    def draw_sample(self, rng: RngStream) -> Any:
+        """One fresh sample: the k = 1 view of draw_samples."""
+        return self.draw_samples(rng, 1)[0]
 
     def _one(self, point: JointPoint) -> tuple[np.ndarray, np.ndarray]:
         """point as the one-row stacks of an S = 1 view."""
@@ -179,19 +209,21 @@ class Problem:
         """(phi(x), y*(x)) at one x (m,)."""
         if self.closed_phi_batch is None:
             raise CapabilityError(f"{self.name}: no closed-form inner maximum")
-        phi, y_star = self.closed_phi_batch(np.asarray(x, dtype=np.float64)[None])
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.m,):
+            raise DimensionError(f"{self.name}: x has shape {x.shape}, expected ({self.m},)")
+        phi, y_star = self.closed_phi_batch(x[None])
         return float(phi[0]), y_star[0]
+
+    def dist_to_opt(self, point: JointPoint) -> float:
+        """Distance of one point to the problem's optimum."""
+        if self.dist_to_opt_batch is None:
+            raise CapabilityError(f"{self.name}: no known optimum")
+        return float(self.dist_to_opt_batch(*self._one(point))[0])
 
     def stoch_grad(self, point: JointPoint, rng: RngStream) -> GradSample:
         """Unbiased gradient sample: one fresh draw, evaluated at point."""
         return self.grad_with_sample(point, self.draw_sample(rng))
-
-    def draw_samples(self, rng: RngStream, k: int):
-        """k fresh samples, leaving the stream where k draw_sample calls
-        leave it; item i of the result is the i-th of those samples."""
-        return [self.draw_sample(rng) for _ in range(k)]
-
-    dist_to_opt = None  # optional callable point -> float
 
     def check_point(self, point: JointPoint) -> JointPoint:
         if point.m != self.m or point.n != self.n:

@@ -52,6 +52,12 @@ def _mv(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(mat, v[..., None])[..., 0]
 
 
+def _joint_norm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The norm of each joined row (x_i, y_i), bit for bit np.linalg.norm's."""
+    d = np.concatenate([x, y], axis=1)
+    return np.sqrt(row_dot(d, d))
+
+
 class _AdditiveNoiseProblem(Problem):
     """Analytic problem whose sampled gradient is exact + Gaussian noise.
 
@@ -66,19 +72,10 @@ class _AdditiveNoiseProblem(Problem):
         that sigma is finite and >= 0, so the std is too."""
         self.constants = constants
         self._noise_std = constants.sigma / np.sqrt(self.m + self.n)
+        self.sample_shape = None if constants.sigma == 0.0 else (self.m + self.n,)
 
-    def draw_sample(self, rng: RngStream):
-        if self.constants.sigma == 0.0:
-            return None
-        return rng.gauss(self.m + self.n, self._noise_std)
-
-    def draw_samples(self, rng: RngStream, k: int):
-        """k noise vectors as one (k, m+n) block: the stream fills it in
-        row order, so row i is the i-th of k draw_sample calls."""
-        if self.constants.sigma == 0.0:
-            return [None] * k
-        d = self.m + self.n
-        return rng.gauss(k * d, self._noise_std).reshape(k, d)
+    def _map_normals(self, z):
+        z *= self._noise_std
 
     def grad_with_sample_batch(self, x, y, samples):
         gx, gy = self.exact_grad_batch(x, y)
@@ -128,8 +125,8 @@ class _ScscQuadratic(_AdditiveNoiseProblem):
         phi = 0.5 * self.a * row_dot(x, x) + row_dot(bt_x, bt_x) / (2.0 * self.a)
         return phi, bt_x / self.a
 
-    def dist_to_opt(self, point: JointPoint) -> float:
-        return float(np.linalg.norm(point.joined()))
+    def dist_to_opt_batch(self, x, y):
+        return _joint_norm(x, y)
 
 
 class _Bilinear(_AdditiveNoiseProblem):
@@ -156,8 +153,8 @@ class _Bilinear(_AdditiveNoiseProblem):
     def exact_grad_batch(self, x, y):
         return y.copy(), x.copy()
 
-    def dist_to_opt(self, point: JointPoint) -> float:
-        return float(np.linalg.norm(point.joined()))
+    def dist_to_opt_batch(self, x, y):
+        return _joint_norm(x, y)
 
 
 class _NcplQuadratic(_AdditiveNoiseProblem):

@@ -91,8 +91,13 @@ class _RobustRegression(Problem):
             gy[blk] = (y[blk] - f - self.lam * (y[blk] - self.targets)) / self.n
         return gx, gy
 
-    def draw_sample(self, rng: RngStream):
-        return rng.integers(0, self.n, size=self.batch)
+    def draw_samples(self, rng: RngStream, k: int):
+        """k minibatch index vectors, drawn with replacement, as one (k, B)
+        block of integers in row order."""
+        return rng.integers(0, self.n, size=(k, self.batch))
+
+    def draw_rows(self, rngs: list[RngStream]):
+        return np.concatenate([self.draw_samples(rng, 1) for rng in rngs])
 
     def grad_with_sample_batch(self, x, y, samples):
         """One stacked forward and backward pass per block of rows

@@ -73,6 +73,7 @@ class _GaussianWgan(Problem):
         self.init_scale = float(init_scale)
         self.m = 4
         self.n = arch.n_params
+        self.sample_shape = (2, self.batch, 2)
         self.constants = constants
         self.name = "gaussian_wgan"
         self.metadata = {"mlp_backed": True, "batch": self.batch}
@@ -105,18 +106,12 @@ class _GaussianWgan(Problem):
         nodes = np.broadcast_to(self._x_nodes, shape)
         return self._grad_stack(x, y, nodes, np.broadcast_to(self._xi, shape), self._w2)
 
-    def draw_sample(self, rng: RngStream):
-        x = self.mu_star + self.sigma_star * rng.standard_normal((self.batch, 2))
-        z = rng.standard_normal((self.batch, 2))
-        return x, z
-
-    def draw_samples(self, rng: RngStream, k: int):
-        """k minibatches as one (k, 2, B, 2) block, item i the (data, z) of
-        the i-th of k draw_sample calls: draw_sample fills its data then its
-        z from the stream, so one block holds the same normals in order."""
-        xz = rng.standard_normal((k, 2, self.batch, 2))
-        xz[:, 0] = self.mu_star + self.sigma_star * xz[:, 0]
-        return xz
+    def _map_normals(self, z):
+        """A sample (2, B, 2) is a data minibatch, then the generator's
+        normals: only the data half leaves N(0, I)."""
+        data = z[:, 0]
+        data *= self.sigma_star
+        data += self.mu_star
 
     def grad_with_sample_batch(self, x, y, samples):
         """Minibatch gradients: _grad_stack with row i's data and z from
@@ -149,9 +144,10 @@ class _GaussianWgan(Problem):
         return gx, gy
 
     # -- extras -------------------------------------------------------------
-    def dist_to_opt(self, point: JointPoint) -> float:
-        target = np.concatenate([self.mu_star, self.sigma_star])
-        return float(np.linalg.norm(point.x - target))
+    def dist_to_opt_batch(self, x, y):
+        """Distance of each generator row to (mu_star, sigma_star)."""
+        d = x - np.concatenate([self.mu_star, self.sigma_star])
+        return np.sqrt(row_dot(d, d))
 
     def default_init(self, seed: int | None = None) -> JointPoint:
         """Generator at (0, 0, 1, 1); discriminator freshly initialized."""

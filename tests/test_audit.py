@@ -1,6 +1,7 @@
 """Batched oracle audit and certificate sweeps against per-draw / per-point
 reference loops: every reported number, index and the stream position
 afterwards must match exactly."""
+import copy
 import json
 import math
 
@@ -54,7 +55,7 @@ def reference_check_oracle(
         s2 = np.zeros(exact_flat.shape[0])
         q1 = q2 = 0.0
         for _ in range(per_point):
-            g = problem.grad_with_sample(point, problem.draw_sample(rng))
+            g = problem.grad_with_sample(point, reference_draw(problem, rng))
             flat = np.concatenate([g.gx, g.gy])
             s1 += flat
             s2 += flat * flat
@@ -166,24 +167,82 @@ def test_audit_rejects_batched_oracle_that_disagrees_with_single_point_oracle():
         check_oracle(prob, 1000, RngStream(3), points=2)
 
 
-@pytest.mark.parametrize(
-    "prob",
-    [
-        make_scsc_quadratic(1.0, None, 2, 3, sigma=0.5),
-        make_bilinear(2, 2),
-        _small_regression(),
-        make_gaussian_wgan(disc_arch=(2, 3, 1), quad_nodes=10, batch=3),
-    ],
-    ids=["noisy", "sigma0", "per_row", "wgan"],
-)
-def test_draw_samples_match_single_draws_and_stream_position(prob):
-    rng_ref, rng = RngStream(8), RngStream(8)
-    want = [prob.draw_sample(rng_ref) for _ in range(9)]
+def reference_draw(prob, rng):
+    """One sample of prob by its per-draw formula, written here
+    independently of the Problem draw methods."""
+    if prob.name == "robust_regression":
+        return rng.integers(0, prob.n, size=prob.batch)
+    if prob.name == "gaussian_wgan":
+        data = prob.mu_star + prob.sigma_star * rng.standard_normal((prob.batch, 2))
+        return np.stack([data, rng.standard_normal((prob.batch, 2))])
+    if prob.constants.sigma == 0.0:
+        return None
+    d = prob.m + prob.n
+    return prob.constants.sigma / np.sqrt(d) * rng.standard_normal(d)
+
+
+def _same_sample(want, got):
+    return (want is None and got is None) or np.array_equal(want, got)
+
+
+_DRAW_PROBLEMS = {
+    "scsc": lambda: make_scsc_quadratic(1.0, None, 2, 3, sigma=0.5),
+    "sigma0": lambda: make_scsc_quadratic(1.0, None, 2, 3),
+    "bilinear": lambda: make_bilinear(2, 2, sigma=0.3),
+    "ncpl": lambda: random_ncpl_instance(2, sigma=0.5),
+    "regression": _small_regression,
+    "wgan": lambda: make_gaussian_wgan(disc_arch=(2, 3, 1), quad_nodes=10, batch=3),
+}
+
+
+@pytest.mark.parametrize("name", _DRAW_PROBLEMS)
+def test_draw_samples_match_reference_draws_and_stream_position(name):
+    prob = _DRAW_PROBLEMS[name]()
+    rng_ref, rng, rng_one = RngStream(8), RngStream(8), RngStream(8)
+    want = [reference_draw(prob, rng_ref) for _ in range(9)]
     got = prob.draw_samples(rng, 9)
-    for w, g in zip(want, got):
-        assert (w is None and g is None) or np.array_equal(w, g)
     assert len(got) == 9
-    assert rng.uniform() == rng_ref.uniform()
+    for w, g in zip(want, got):
+        assert _same_sample(w, g)
+        assert _same_sample(w, prob.draw_sample(rng_one))
+    assert rng.uniform() == rng_one.uniform() == rng_ref.uniform()
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 200, 1000, 2**31 - 1])
+@pytest.mark.parametrize("batch", [1, 2, 5, 50, 51])
+def test_regression_index_block_matches_single_draws(n, batch):
+    # numpy does not document that a block of bounded integers equals the
+    # same number of single draws; draw_samples and draw_rows only read n
+    # and batch, so a copy with those swapped covers datasets too large to
+    # build
+    prob = copy.copy(_small_regression())
+    prob.n, prob.batch = n, batch
+    rng_ref, rng = RngStream(5, 1), RngStream(5, 1)
+    for k in (1, 2, 7):
+        want = [reference_draw(prob, rng_ref) for _ in range(k)]
+        assert np.array_equal(prob.draw_samples(rng, k), np.array(want))
+        assert rng.uniform() == rng_ref.uniform()
+    rngs = [RngStream(5, i) for i in range(3)]
+    refs = [RngStream(5, i) for i in range(3)]
+    assert np.array_equal(prob.draw_rows(rngs), np.array([reference_draw(prob, r) for r in refs]))
+    assert [r.uniform() for r in rngs] == [r.uniform() for r in refs]
+
+
+@pytest.mark.parametrize("s", [1, 3, 8])
+@pytest.mark.parametrize("name", _DRAW_PROBLEMS)
+def test_draw_rows_match_reference_draw_per_stream(name, s):
+    prob = _DRAW_PROBLEMS[name]()
+    rngs = [RngStream(20 + i, 3) for i in range(s)]
+    for i, rng in enumerate(rngs):
+        # stream i starts i bounded draws in, so the streams' positions
+        # (and any buffered half of a 64-bit word) differ
+        rng.integers(0, 7, size=i)
+    refs = [copy.deepcopy(rng) for rng in rngs]
+    got = prob.draw_rows(rngs)
+    assert len(got) == s
+    for i in range(s):
+        assert _same_sample(reference_draw(prob, refs[i]), got[i])
+        assert rngs[i].uniform() == refs[i].uniform()
 
 
 @pytest.mark.parametrize(

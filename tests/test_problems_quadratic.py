@@ -42,6 +42,13 @@ def test_scsc_closed_phi_worked_value():
     assert np.array_equal(y_star, np.zeros(1))
 
 
+def test_closed_phi_rejects_x_of_the_wrong_length():
+    prob = make_scsc_quadratic(1.0, None, 2, 3)
+    for x in (np.zeros(3), np.zeros(1), np.zeros((1, 2))):
+        with pytest.raises(DimensionError, match=r"x has shape"):
+            prob.closed_phi(x)
+
+
 def test_scsc_closed_phi_matches_grid_max():
     prob = make_scsc_quadratic(1.3, [[0.7]], 1, 1)
     x = np.array([0.8])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gdakit.optimizers as optimizers
-from gdakit.core import DivergenceError, RngStream, row_dot
+from gdakit.core import CapabilityError, DivergenceError, RngStream, row_dot
 from gdakit.diagnostics import (
     H_WEIGHTS,
     LYAPUNOV_C,
@@ -79,7 +79,7 @@ def _metrics(problem, point, diag):
         out["h"] = _ref_h(problem, point, diag)
     if diag.v and can_phi:
         out["v"] = _ref_v(problem, point, diag)
-    if diag.dist and problem.dist_to_opt is not None:
+    if diag.dist and problem.dist_to_opt_batch is not None:
         out["dist"] = float(problem.dist_to_opt(point))
     if diag.loss:
         out["loss"] = float(problem.value(point))
@@ -104,7 +104,7 @@ class _Recording:
 
     def step(self, problem, x, y, rngs, alpha, eta, p, k):
         out = self.inner.step(problem, x, y, rngs, alpha, eta, p, k)
-        self.log.append((out.x.copy(), out.y.copy(), list(out.branch)))
+        self.log.append((out.x.copy(), out.y.copy(), [out.label(i) for i in range(len(out.x))]))
         return out
 
 
@@ -331,6 +331,24 @@ def test_norms_match_np_linalg_norm_bit_for_bit():
         assert [v.hex() for v in got.tolist()] == [
             float(np.linalg.norm(row)).hex() for row in stack
         ]
+
+
+def test_dist_to_opt_rows_match_per_point_norms_bit_for_bit():
+    rng = RngStream(14, 0)
+    wgan = PROBLEMS["gaussian_wgan"]()
+    target = np.concatenate([wgan.mu_star, wgan.sigma_star])
+    for prob, ref in (
+        (make_scsc_quadratic(1.0, None, 3, 2), lambda pt: np.linalg.norm(pt.joined())),
+        (make_bilinear(4, 4), lambda pt: np.linalg.norm(pt.joined())),
+        (wgan, lambda pt: np.linalg.norm(pt.x - target)),
+    ):
+        x, y = prob.random_points(rng, 7, 4.0)
+        got = prob.dist_to_opt_batch(x, y)
+        for i in range(7):
+            pt = JointPoint(x[i], y[i])
+            assert got[i].hex() == float(ref(pt)).hex() == prob.dist_to_opt(pt).hex()
+    with pytest.raises(CapabilityError):
+        PROBLEMS["random_ncpl"]().dist_to_opt(JointPoint(np.zeros(4), np.zeros(5)))
 
 
 @pytest.mark.parametrize(
