@@ -80,9 +80,9 @@ def inner_ascent(
 
     The certificate is phi(x) - F(x, y) when a closed phi exists (phi is
     computed once), else |grad_y F|^2 / (2 mu), which bounds the gap under
-    gradient domination and comes from the gradient the step uses. The
-    iterate reached at the budget is checked too; certified=False flags
-    budget exhaustion.
+    gradient domination and comes from the gradient the step uses. Each
+    gradient is the y block alone (need="y"). The iterate reached at the
+    budget is checked too; certified=False flags budget exhaustion.
     """
     step = 1.0 / problem.constants.l1
     two_mu = 2.0 * problem.constants.mu
@@ -91,7 +91,7 @@ def inner_ascent(
     while True:
         point = JointPoint(x, y)
         if phi is None:
-            gy = problem.exact_grad(point).gy
+            gy = problem.exact_grad_batch(point.x[None], point.y[None], "y")[1][0]
             gap = float(gy @ gy) / two_mu
         else:
             gap = phi - problem.value(point)
@@ -100,7 +100,7 @@ def inner_ascent(
         if steps >= max_iters:
             return y, False, steps
         if phi is not None:
-            gy = problem.exact_grad(point).gy
+            gy = problem.exact_grad_batch(point.x[None], point.y[None], "y")[1][0]
         y = y + step * gy
         steps += 1
 
@@ -198,7 +198,7 @@ def h_metric(
     x, y = point.x[None], point.y[None]
     _, y_star = phi_rows(problem, x, y, inner_tol, inner_budget)
     gx, gy = problem.exact_grad_batch(x, y)
-    g_star = problem.exact_grad_batch(x, y_star)[0]
+    g_star = problem.exact_grad_batch(x, y_star, "x")[0]
     return float(h_rows(problem.constants, gx, gy, g_star)[0])
 
 
@@ -359,7 +359,7 @@ def _descent_terms(problem, x, y, alpha, eta, p, c):
     v_x = merit_rows(phi_x, problem.value_batch(x_step, y), c)
     v_y = merit_rows(phi, problem.value_batch(x, y + eta * gy), c)
     lhs = v_here - (p * v_x + (1.0 - p) * v_y)
-    h = h_rows(problem.constants, gx, gy, problem.exact_grad_batch(x, y_star)[0])
+    h = h_rows(problem.constants, gx, gy, problem.exact_grad_batch(x, y_star, "x")[0])
     return lhs, p * alpha * h
 
 

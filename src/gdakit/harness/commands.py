@@ -51,6 +51,24 @@ DIVERGENCE_CAP = 1e12
 _AGG_KEYS = (*(f"final_{m}" for m in METRIC_KEYS), "min_h", "grad_evals")
 
 
+def _top_level(*keys: str) -> dict:
+    """A command's top-level schema in read_block's dict form: the keys the
+    command reads, each checked by its own reader, plus out_dir, which the
+    CLI reads."""
+    return dict.fromkeys((*keys, "out_dir"), "any")
+
+
+RUN_SCHEMA = _top_level(
+    "problem", "optimizer", "plan", "iters", "seeds", "diag", "waive_constraints", "init"
+)
+COMPARE_SCHEMA = _top_level(
+    "problem", "series", "plan", "seeds", "waive_constraints", "eval_budget", "metrics",
+    "checkpoints", "diag", "init",
+)
+PSELECT_SCHEMA = _top_level("problem", "alpha", "n_grid", "probe", "delta", "init")
+CHECK_SCHEMA = _top_level("problem", "seed", "oracle", "sweeps")
+
+
 def _aggregate(summaries: list[dict], keys=_AGG_KEYS) -> dict:
     agg: dict = {}
     for key in keys:
@@ -63,6 +81,7 @@ def _aggregate(summaries: list[dict], keys=_AGG_KEYS) -> dict:
 
 def cmd_run(cfg: dict, out_dir, *, seeds_override: list[int] | None = None) -> dict:
     """Seeded runs of one optimizer on one problem; one trace per seed."""
+    read_block(cfg, "config", RUN_SCHEMA)
     problem = build_problem(cfg.get("problem"))
     kind = build_optimizer(cfg.get("optimizer"))
     plan = build_plan(cfg.get("plan"), problem.constants)
@@ -153,6 +172,7 @@ def cmd_compare(cfg: dict, out_dir, *, seeds_override: list[int] | None = None) 
     every checkpoint lands exactly on a post-step iterate of every series;
     the eval budget is trimmed down to a whole number of checkpoints.
     """
+    read_block(cfg, "config", COMPARE_SCHEMA)
     problem = build_problem(cfg.get("problem"))
     series = _compare_series(cfg, problem.constants)
     seeds = parse_seeds(cfg, seeds_override)
@@ -302,6 +322,7 @@ def cmd_pselect(cfg: dict, out_dir) -> dict:
     condensed into a warmup + 1/j staircase schedule anchored to match the
     curve at both ends of the grid.
     """
+    read_block(cfg, "config", PSELECT_SCHEMA)
     problem = build_problem(cfg.get("problem"))
     c = problem.constants
     alpha = check_value(cfg.get("alpha", 1.0 / (2.0 * c.l2)), "float", "alpha")
@@ -434,6 +455,7 @@ def cmd_check(cfg: dict, out_dir) -> dict:
     the two-branch contraction bound (needs a Nash point) and the one-step
     merit descent bound (needs closed-form phi) over random points.
     """
+    read_block(cfg, "config", CHECK_SCHEMA)
     problem = build_problem(cfg.get("problem"))
     seed = check_value(cfg.get("seed", 0), "int", "seed")
     ocfg = read_block(cfg.get("oracle"), "oracle", ORACLE_SCHEMA)

@@ -165,8 +165,14 @@ def forward_batch(arch: MlpArch, params: np.ndarray, inputs: np.ndarray) -> np.n
 
 
 def backward_batch(
-    arch: MlpArch, params: np.ndarray, inputs: np.ndarray, out_grads: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    arch: MlpArch,
+    params: np.ndarray,
+    inputs: np.ndarray,
+    out_grads: np.ndarray,
+    *,
+    grad_params: bool = True,
+    grad_inputs: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Gradient of sum_r <out_grads[r], forward(inputs[r])>.
 
     Returns (param_grad, input_grads): param_grad is the flat parameter
@@ -174,6 +180,9 @@ def backward_batch(
     Stacked like forward_batch: params (K, P), inputs (K, batch, n_in) and
     out_grads (K, batch, n_out) give param_grad (K, P), each slice
     bit-identical to the un-stacked call on it.
+
+    grad_params=False or grad_inputs=False skips that part: it comes back
+    as None, and the part that is computed keeps the bits of the full call.
     """
     stacked, p, x, delta = _stacked(arch, params, inputs, out_grads)
     layers = _unpack(arch, p)
@@ -183,11 +192,17 @@ def backward_batch(
     grads = []
     for li in range(len(layers) - 1, -1, -1):
         w, _ = layers[li]
-        dw = acts[li].swapaxes(-1, -2) @ delta
-        grads += [delta.sum(axis=-2), dw.reshape(len(p), -1)]
+        if grad_params:
+            dw = acts[li].swapaxes(-1, -2) @ delta
+            grads += [delta.sum(axis=-2), dw.reshape(len(p), -1)]
+        if li == 0 and not grad_inputs:
+            delta = None
+            break
         delta = delta @ w.swapaxes(-1, -2)
         if li > 0:
             delta *= _act_deriv(acts[li], arch.activation)
 
-    flat = np.concatenate(grads[::-1], axis=-1)
-    return (flat, delta) if stacked else (flat[0], delta[0])
+    flat = np.concatenate(grads[::-1], axis=-1) if grad_params else None
+    if stacked:
+        return flat, delta
+    return (None if flat is None else flat[0]), (None if delta is None else delta[0])

@@ -17,7 +17,10 @@ cost: sgda costs 2 per step, esgda m+1, rsgda 1, sgdmax inner+1.
 
 Each kind's dataclass owns one batched step that advances S independent
 chains held as (S, m)/(S, n) arrays; run_chains drives it, and run and the
-*_step functions are its single-chain uses.
+*_step functions are its single-chain uses. Every update asks the oracle
+only for the gradient block it applies (need="x" for a descent step, "y"
+for an ascent step); an rsgda step whose chains' coins disagree is the one
+that asks for both.
 """
 from __future__ import annotations
 
@@ -51,7 +54,12 @@ class ChainStep(NamedTuple):
     Every block update costs one gradient evaluation, so a chain's
     evaluations are its x plus y updates. branch is a label every chain
     shares, or an (S,) bool array that is True where a chain updated x;
-    label(i) is chain i's label, made only for the rows that are used."""
+    label(i) is chain i's label, made only for the rows that are used.
+
+    A step returns a block no chain updated as the very array it was given
+    (run_chains then skips its finiteness check), and no step writes into
+    its x or y in place: run_chains buffers the ChainSteps of logged steps,
+    so the arrays of one step are still read after the next one."""
 
     x: np.ndarray
     y: np.ndarray
@@ -79,10 +87,10 @@ class Sgda:
     def step(self, problem, x, y, rngs, alpha, eta, p, k) -> ChainStep:
         """Ascent at (x, y), then descent at (x, y_new)."""
         samples = problem.draw_rows(rngs)
-        y_new = y + eta * problem.grad_with_sample_batch(x, y, samples)[1]
+        y_new = y + eta * problem.grad_with_sample_batch(x, y, samples, "y")[1]
         if not self.strict_sample_reuse:
             samples = problem.draw_rows(rngs)
-        x_new = x - alpha * problem.grad_with_sample_batch(x, y_new, samples)[0]
+        x_new = x - alpha * problem.grad_with_sample_batch(x, y_new, samples, "x")[0]
         return ChainStep(x_new, y_new, 1, 1, "both")
 
 
@@ -109,7 +117,7 @@ class SgdMax:
             for xi, yi in zip(x, y)
         ]
         y_new = np.stack([a[0] for a in ascents])
-        gx = problem.grad_with_sample_batch(x, y_new, problem.draw_rows(rngs))[0]
+        gx = problem.grad_with_sample_batch(x, y_new, problem.draw_rows(rngs), "x")[0]
         warn = tuple(
             (i, f"sgdmax: inner budget {self.inner_max_iters} exhausted at k={k}")
             for i, a in enumerate(ascents)
@@ -137,8 +145,8 @@ class Esgda:
         """m chained stochastic ascent steps, then one descent step; every
         update draws a fresh sample."""
         for _ in range(self.m):
-            y = y + eta * problem.grad_with_sample_batch(x, y, problem.draw_rows(rngs))[1]
-        gx = problem.grad_with_sample_batch(x, y, problem.draw_rows(rngs))[0]
+            y = y + eta * problem.grad_with_sample_batch(x, y, problem.draw_rows(rngs), "y")[1]
+        gx = problem.grad_with_sample_batch(x, y, problem.draw_rows(rngs), "x")[0]
         return ChainStep(x - alpha * gx, y, 1, self.m, "both")
 
 
@@ -154,16 +162,26 @@ class Rsgda:
 
     def step(self, problem, x, y, rngs, alpha, eta, p, k) -> ChainStep:
         """Each chain draws its sample before its coin, so its stream use
-        does not depend on the branch."""
+        does not depend on the branch. When every coin agrees (always at
+        S = 1), one block is computed and the other returned as it came;
+        otherwise both are, and each row keeps its branch's update."""
         if not (0 < p <= 1):
             raise ParameterError(f"rsgda: p must lie in (0, 1], got {p}")
         samples = problem.draw_rows(rngs)
         # the coin of RngStream.bernoulli(p), whose check p has passed above
         take_x = np.array([rng.uniform() for rng in rngs]) < p
-        gx, gy = problem.grad_with_sample_batch(x, y, samples)
-        col = take_x[:, None]
-        x_new = np.where(col, x - alpha * gx, x)
-        y_new = np.where(col, y, y + eta * gy)
+        n_x = np.count_nonzero(take_x)
+        if n_x == len(rngs):
+            x_new = x - alpha * problem.grad_with_sample_batch(x, y, samples, "x")[0]
+            y_new = y
+        elif n_x == 0:
+            x_new = x
+            y_new = y + eta * problem.grad_with_sample_batch(x, y, samples, "y")[1]
+        else:
+            gx, gy = problem.grad_with_sample_batch(x, y, samples)
+            col = take_x[:, None]
+            x_new = np.where(col, x - alpha * gx, x)
+            y_new = np.where(col, y, y + eta * gy)
         return ChainStep(x_new, y_new, take_x, ~take_x, take_x)
 
 
@@ -313,7 +331,7 @@ def _trace_metrics(
     if want_h or want_v:
         phi, y_star = phi_rows(problem, x, y, diag.inner_tol, diag.inner_budget, f)
     if want_h:
-        g_star = problem.exact_grad_batch(x, y_star)[0]
+        g_star = problem.exact_grad_batch(x, y_star, "x")[0]
         out["h"] = h_rows(problem.constants, gx, gy, g_star).tolist()
     if want_v:
         out["v"] = merit_rows(phi, f, LYAPUNOV_C).tolist()
@@ -380,11 +398,12 @@ def run_chains(
     carry no such certificate and only need positive steps.
 
     Inputs are validated once, here; inside the loop the iterates are raw
-    arrays with one finiteness check per step, and numpy overflow warnings
-    are off (a metric that overflows is logged as inf). A step that leaves any
-    chain's iterate non-finite raises DivergenceError naming the lowest such
-    seed, the step k, its branch and plan values, and carrying the records
-    that seed logged before k.
+    arrays with one finiteness check per step, of each block the step
+    changed, and numpy overflow warnings are off (a metric that overflows
+    is logged as inf). A step that leaves any chain's iterate non-finite
+    raises DivergenceError naming the lowest such seed, the step k, its
+    branch and plan values, and carrying the records that seed logged
+    before k.
     """
     if iters < 0:
         raise ParameterError(f"run: iters must be >= 0, got {iters}")
@@ -417,8 +436,12 @@ def run_chains(
             alpha, eta = plan.alpha(k), plan.eta(k)
             p = plan.p(k) if kind.randomized else None
             out = kind.step(problem, x, y, rngs, alpha, eta, p, k)
+            # a block the step returned as it came is finite already
+            ok = (out.x is x or np.isfinite(out.x).all()) and (
+                out.y is y or np.isfinite(out.y).all()
+            )
             x, y = out.x, out.y
-            if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            if not ok:
                 _flush(problem, diag, pending, records)
                 finite = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
                 i = min(np.flatnonzero(~finite), key=lambda j: rngs[j].base_seed)

@@ -111,6 +111,11 @@ class Problem:
     grad_with_sample, closed_phi and dist_to_opt are their S = 1 views,
     written once here; random_points stacks random_point.
 
+    The two gradient forms take need, the blocks the caller applies: "x",
+    "y" or "xy" (the default). A block that need leaves out comes back as
+    None and is not computed; a block that is returned has exactly the bits
+    of that block from the "xy" call.
+
     Samples are standard normals under an elementwise map: a subclass
     declares sample_shape, the shape of one sample's normals (None when the
     oracle is noiseless: every sample is None and nothing is drawn), and
@@ -143,15 +148,19 @@ class Problem:
         """F at each row of x (S, m) and y (S, n); shape (S,)."""
         raise NotImplementedError
 
-    def exact_grad_batch(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact gradients (gx (S, m), gy (S, n)) at each row of x and y."""
+    def exact_grad_batch(
+        self, x: np.ndarray, y: np.ndarray, need: str = "xy"
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Exact gradients (gx (S, m), gy (S, n)) at each row of x and y;
+        the block need leaves out is None."""
         raise NotImplementedError
 
     def grad_with_sample_batch(
-        self, x: np.ndarray, y: np.ndarray, samples
-    ) -> tuple[np.ndarray, np.ndarray]:
+        self, x: np.ndarray, y: np.ndarray, samples, need: str = "xy"
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Sampled gradients at each row of x (S, m) and y (S, n), row i
-        with samples[i]; returns (gx (S, m), gy (S, n)).
+        with samples[i]; returns (gx (S, m), gy (S, n)), the block need
+        leaves out None.
 
         Like every stacked form, it does not validate the rows: a row that
         has diverged gets non-finite gradients, not an error, since the

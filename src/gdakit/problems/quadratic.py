@@ -61,9 +61,11 @@ def _joint_norm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class _AdditiveNoiseProblem(Problem):
     """Analytic problem whose sampled gradient is exact + Gaussian noise.
 
-    Subclasses define exact_grad_batch and value_batch, and closed_phi_batch
-    where phi has a closed form, elementwise and through _mv and row_dot
-    only, so each row's bits do not depend on the other rows.
+    Subclasses define the two gradient blocks _grad_x and _grad_y and
+    value_batch, and closed_phi_batch where phi has a closed form,
+    elementwise and through _mv and row_dot only, so each row's bits do not
+    depend on the other rows. Both gradient forms are built here from the
+    blocks, computing only the blocks asked for.
     """
 
     def _set_constants(self, constants: ProblemConstants) -> None:
@@ -77,12 +79,21 @@ class _AdditiveNoiseProblem(Problem):
     def _map_normals(self, z):
         z *= self._noise_std
 
-    def grad_with_sample_batch(self, x, y, samples):
-        gx, gy = self.exact_grad_batch(x, y)
+    def exact_grad_batch(self, x, y, need="xy"):
+        return (
+            self._grad_x(x, y) if "x" in need else None,
+            self._grad_y(x, y) if "y" in need else None,
+        )
+
+    def grad_with_sample_batch(self, x, y, samples, need="xy"):
+        gx, gy = self.exact_grad_batch(x, y, need)
         if samples[0] is None:  # sigma == 0 draws no noise for any row
             return gx, gy
         z = np.asarray(samples)
-        return gx + z[:, : self.m], gy + z[:, self.m :]
+        return (
+            None if gx is None else gx + z[:, : self.m],
+            None if gy is None else gy + z[:, self.m :],
+        )
 
 
 class _ScscQuadratic(_AdditiveNoiseProblem):
@@ -116,8 +127,11 @@ class _ScscQuadratic(_AdditiveNoiseProblem):
             - 0.5 * self.a * row_dot(y, y)
         )
 
-    def exact_grad_batch(self, x, y):
-        return self.a * x + _mv(self.b_mat, y), _mv(self.b_mat.T, x) - self.a * y
+    def _grad_x(self, x, y):
+        return self.a * x + _mv(self.b_mat, y)
+
+    def _grad_y(self, x, y):
+        return _mv(self.b_mat.T, x) - self.a * y
 
     def closed_phi_batch(self, x):
         """phi(x) = (a/2)|x|^2 + |B'x|^2/(2a), maximizer y*(x) = B'x / a."""
@@ -150,8 +164,11 @@ class _Bilinear(_AdditiveNoiseProblem):
     def value_batch(self, x, y):
         return row_dot(x, y)
 
-    def exact_grad_batch(self, x, y):
-        return y.copy(), x.copy()
+    def _grad_x(self, x, y):
+        return y.copy()
+
+    def _grad_y(self, x, y):
+        return x.copy()
 
     def dist_to_opt_batch(self, x, y):
         return _joint_norm(x, y)
@@ -222,10 +239,11 @@ class _NcplQuadratic(_AdditiveNoiseProblem):
             - row_dot(0.5 * y, _mv(self.a_mat, y))
         )
 
-    def exact_grad_batch(self, x, y):
-        gx = _mv(self.q, x) + self.c * np.cos(x) + _mv(self.b_mat.T, y)
-        gy = _mv(self.b_mat, x) - _mv(self.a_mat, y)
-        return gx, gy
+    def _grad_x(self, x, y):
+        return _mv(self.q, x) + self.c * np.cos(x) + _mv(self.b_mat.T, y)
+
+    def _grad_y(self, x, y):
+        return _mv(self.b_mat, x) - _mv(self.a_mat, y)
 
     def closed_phi_batch(self, x):
         """phi(x) = g(x) + (1/2)(Bx)'A^+(Bx); maximizer y*(x) = A^+ B x."""

@@ -82,14 +82,20 @@ class _RobustRegression(Problem):
             v[blk] = np.mean(0.5 * r * r - 0.5 * self.lam * pen * pen, axis=-1)
         return v
 
-    def exact_grad_batch(self, x, y):
-        gx = np.empty(x.shape)
-        gy = np.empty(y.shape)
+    def exact_grad_batch(self, x, y, need="xy"):
+        gx = np.empty(x.shape) if "x" in need else None
+        gy = np.empty(y.shape) if "y" in need else None
         for blk, xs, f in self._dataset_blocks(x):
-            r = f - y[blk]
-            gx[blk], _ = mlp.backward_batch(self.arch, x[blk], xs, (r / self.n)[..., None])
-            gy[blk] = (y[blk] - f - self.lam * (y[blk] - self.targets)) / self.n
+            if gx is not None:
+                gx[blk] = self._grad_w(x[blk], xs, (f - y[blk]) / self.n)
+            if gy is not None:
+                gy[blk] = (y[blk] - f - self.lam * (y[blk] - self.targets)) / self.n
         return gx, gy
+
+    def _grad_w(self, w, xs, col):
+        """The weight gradient of sum_j col[.., j] f_w(xs[.., j]) at each
+        row of w: the backward pass, without the input gradient."""
+        return mlp.backward_batch(self.arch, w, xs, col[..., None], grad_inputs=False)[0]
 
     def draw_samples(self, rng: RngStream, k: int):
         """k minibatch index vectors, drawn with replacement, as one (k, B)
@@ -99,25 +105,27 @@ class _RobustRegression(Problem):
     def draw_rows(self, rngs: list[RngStream]):
         return np.concatenate([self.draw_samples(rng, 1) for rng in rngs])
 
-    def grad_with_sample_batch(self, x, y, samples):
-        """One stacked forward and backward pass per block of rows
-        (mlp.row_blocks) and one np.add.at per block for the y-gradients."""
+    def grad_with_sample_batch(self, x, y, samples, need="xy"):
+        """One stacked forward pass per block of rows (mlp.row_blocks), then
+        a backward pass for the x-gradients and one np.add.at for the
+        y-gradients, each only when need asks for that block."""
         idx_all = np.asarray(samples)
-        gx = np.empty(x.shape)
-        gy = np.zeros(y.shape)
+        gx = np.empty(x.shape) if "x" in need else None
+        gy = np.zeros(y.shape) if "y" in need else None
         for blk in mlp.row_blocks(self.arch, len(x), idx_all.shape[1]):
             w, idx = x[blk], idx_all[blk]
             rows = np.arange(blk.start, blk.stop)[:, None]
             xs = self.x_data[idx]
             f = self._fw(xs, w)
             ys = y[rows, idx]
-            r = f - ys
-            gx[blk], _ = mlp.backward_batch(self.arch, w, xs, (r / self.batch)[..., None])
-            # (row, index) pairs in row-major order: each row's entries add
-            # up in sample order
-            np.add.at(
-                gy, (rows, idx), (ys - f - self.lam * (ys - self.targets[idx])) / self.batch
-            )
+            if gx is not None:
+                gx[blk] = self._grad_w(w, xs, (f - ys) / self.batch)
+            if gy is not None:
+                # (row, index) pairs in row-major order: each row's entries
+                # add up in sample order
+                np.add.at(
+                    gy, (rows, idx), (ys - f - self.lam * (ys - self.targets[idx])) / self.batch
+                )
         return gx, gy
 
     def closed_phi_batch(self, x):

@@ -99,12 +99,12 @@ class _GaussianWgan(Problem):
             v[blk] = row_dot(w2, f_real) - row_dot(w2, f_fake)
         return v
 
-    def exact_grad_batch(self, x, y):
+    def exact_grad_batch(self, x, y, need="xy"):
         """Quadrature gradient: _grad_stack with every row's data and
         generator inputs at the node grid, weighted by the quadrature."""
         shape = (len(x),) + self._xi.shape
         nodes = np.broadcast_to(self._x_nodes, shape)
-        return self._grad_stack(x, y, nodes, np.broadcast_to(self._xi, shape), self._w2)
+        return self._grad_stack(x, y, nodes, np.broadcast_to(self._xi, shape), self._w2, need)
 
     def _map_normals(self, z):
         """A sample (2, B, 2) is a data minibatch, then the generator's
@@ -113,34 +113,47 @@ class _GaussianWgan(Problem):
         data *= self.sigma_star
         data += self.mu_star
 
-    def grad_with_sample_batch(self, x, y, samples):
+    def grad_with_sample_batch(self, x, y, samples, need="xy"):
         """Minibatch gradients: _grad_stack with row i's data and z from
         samples[i], each input weighted 1/B."""
         xz = np.asarray(samples)  # (S, 2, B, 2)
-        return self._grad_stack(x, y, xz[:, 0], xz[:, 1], 1.0 / xz.shape[2])
+        return self._grad_stack(x, y, xz[:, 0], xz[:, 1], 1.0 / xz.shape[2], need)
 
-    def _grad_stack(self, x, y, data, z, wts):
+    def _grad_stack(self, x, y, data, z, wts, need):
         """Gradients at the rows of x (S, m), y (S, n): row i's is
         sum_j wts[j] grad f(data[i, j]) minus the same over its generated
         inputs theta_mu + theta_sigma * z[i, j], with row i's critic
         weights; data and z are (S, B, 2), and wts (B,) sums to one (a
-        scalar weights every input alike). One backward pass over 2S slices
-        per block of rows (mlp.row_blocks): slice i is the data pass, slice
-        S + i the generator pass. A non-finite row gets non-finite
-        gradients, not an error."""
-        gx = np.empty(x.shape)
-        gy = np.empty(y.shape)
+        scalar weights every input alike). A non-finite row gets non-finite
+        gradients, not an error.
+
+        One backward pass per block of rows (mlp.row_blocks). The y block
+        needs the parameter gradients of 2S slices: slice i is the data
+        pass, slice S + i the generator pass. The x block needs only the
+        generator slices' input gradients, so without the y block the pass
+        runs on those S slices alone."""
+        want_x, want_y = "x" in need, "y" in need
+        gx = np.empty(x.shape) if want_x else None
+        gy = np.empty(y.shape) if want_y else None
         for blk in mlp.row_blocks(self.arch, len(x), z.shape[1], slices_per_row=2):
             s, zb = blk.stop - blk.start, z[blk]
-            inputs = np.concatenate([data[blk], x[blk, None, :2] + x[blk, None, 2:] * zb])
+            u = x[blk, None, :2] + x[blk, None, 2:] * zb
+            if want_y:
+                inputs, params = np.concatenate([data[blk], u]), np.concatenate([y[blk], y[blk]])
+            else:
+                inputs, params = u, y[blk]
             col = np.empty(inputs.shape[:2] + (1,))
-            col[:s, :, 0] = wts
-            np.negative(col[:s], out=col[s:])
-            pg, ig = mlp.backward_batch(self.arch, np.concatenate([y[blk], y[blk]]), inputs, col)
-            gu = ig[s:]  # rows already carry -wts[j] * df/du
-            gx[blk, :2] = gu.sum(axis=1)
-            gx[blk, 2:] = (gu * zb).sum(axis=1)
-            gy[blk] = pg[:s] + pg[s:]
+            col[..., 0] = wts
+            np.negative(col[-s:], out=col[-s:])
+            pg, ig = mlp.backward_batch(
+                self.arch, params, inputs, col, grad_params=want_y, grad_inputs=want_x
+            )
+            if want_x:
+                gu = ig[-s:]  # rows already carry -wts[j] * df/du
+                gx[blk, :2] = gu.sum(axis=1)
+                gx[blk, 2:] = (gu * zb).sum(axis=1)
+            if want_y:
+                gy[blk] = pg[:s] + pg[s:]
         return gx, gy
 
     # -- extras -------------------------------------------------------------

@@ -410,6 +410,18 @@ def test_cmd_compare_same_series_twice_gives_identical_columns(tmp_path):
         assert k_a == k_b and d_a == d_b
 
 
+def test_cmd_compare_series_without_a_plan_take_the_top_level_one(tmp_path):
+    plan = {"kind": "constant", "alpha": 0.05, "eta": 0.05}
+    series = {"label": "a", "optimizer": {"kind": "sgda", "params": {}}}
+    tables = []
+    for name, over in (("top", {"plan": plan}), ("own", {})):
+        entry = series if over else {**series, "plan": plan}
+        cmd_compare(_compare_cfg(series=[entry], eval_budget=100, **over), tmp_path / name)
+        # the first line carries the config hash, which differs
+        tables.append((tmp_path / name / "compare_seed0.csv").read_text().splitlines()[1:])
+    assert tables[0] == tables[1]
+
+
 def test_cmd_compare_rejections(tmp_path):
     with pytest.raises(ConfigError, match="sgdmax"):
         cmd_compare(
@@ -623,6 +635,12 @@ _MALFORMED = [
     ("run", {"problem.parmas": {"sigma": 0.5}}, "problem.parmas"),
     ("compare", {"series.1.plna": {"kind": "constant", "alpha": 0.02}}, "series[1].plna"),
     ("compare", {"checkpoints": True}, "checkpoints"),
+    # misspelt top-level keys, which every command silently ignored
+    ("run", {"sedes": [9]}, "config.sedes"),
+    ("run", {"diag ": {}}, "config.diag "),
+    ("compare", {"checkpionts": 3}, "config.checkpionts"),
+    ("pselect", {"delta_probe": None}, "config.delta_probe"),
+    ("check", {"oracel": {"trials": 200}}, "config.oracel"),
 ]
 
 
@@ -683,7 +701,6 @@ def test_cli_exit_one_on_runtime_failure(tmp_path):
     # has none, which surfaces as a runtime failure, not a config error
     cfg = {
         "problem": {"name": "bilinear", "params": {"m": 1, "n": 1}},
-        "delta_probe": None,
         "alpha": 0.1,
         "n_grid": [100],
     }

@@ -166,6 +166,24 @@ def test_stacked_slices_equal_unstacked_calls(activation, sizes, batch):
         assert np.array_equal(pg[i], pg_i) and np.array_equal(xg[i], xg_i)
 
 
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("sizes", [(2, 1), (3, 5, 4, 2)], ids=["affine", "2hidden"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["unstacked", "stacked"])
+def test_backward_with_a_part_skipped_keeps_the_other_parts_bits(activation, sizes, stacked):
+    arch = mlp.MlpArch(sizes, activation=activation)
+    rng = RngStream(32, stream_id=4)
+    params = mlp.init_params(arch, rng) + rng.gauss(arch.n_params, 0.1)
+    xs = rng.standard_normal((6, arch.n_in))
+    gs = rng.standard_normal((6, arch.n_out))
+    if stacked:
+        params, xs, gs = np.stack([params, 2 * params]), np.stack([xs, -xs]), np.stack([gs, gs])
+    pg, xg = mlp.backward_batch(arch, params, xs, gs)
+    pg_only, none_x = mlp.backward_batch(arch, params, xs, gs, grad_inputs=False)
+    none_p, xg_only = mlp.backward_batch(arch, params, xs, gs, grad_params=False)
+    assert none_x is None and np.array_equal(pg_only, pg)
+    assert none_p is None and np.array_equal(xg_only, xg)
+
+
 def test_stacked_calls_reject_mismatched_shapes():
     arch = mlp.MlpArch((2, 3, 1))
     params = np.zeros((4, arch.n_params))
