@@ -69,6 +69,33 @@ class TraceRecord:
 
 
 METRIC_KEYS = tuple(f.name for f in fields(TraceRecord) if f.default is None)
+_FIELDS = tuple(f.name for f in fields(TraceRecord))
+
+
+@dataclass
+class TraceColumns:
+    """A trace held as columns: one list per TraceRecord field, in column
+    order, so row j is TraceRecord(*(col[j] for col in columns)).
+
+    run_chains extends it one logged block at a time and the trace writer
+    formats it column by column, so that path builds no per-row object;
+    records() builds the TraceRecords for a caller that wants rows."""
+
+    columns: list[list] = field(default_factory=lambda: [[] for _ in _FIELDS])
+
+    @classmethod
+    def from_records(cls, records: Sequence[TraceRecord]) -> TraceColumns:
+        return cls([[getattr(r, name) for r in records] for name in _FIELDS])
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, name: str) -> list:
+        """The column of the TraceRecord field `name`."""
+        return self.columns[_FIELDS.index(name)]
+
+    def records(self) -> list[TraceRecord]:
+        return list(map(TraceRecord, *self.columns))
 
 
 def inner_ascent(

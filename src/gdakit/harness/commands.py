@@ -112,7 +112,7 @@ def cmd_run(cfg: dict, out_dir, *, seeds_override: list[int] | None = None) -> d
     per_seed = {}
     for seed, res in zip(seeds, results):
         trace = f"trace_seed{seed}.csv"
-        write_trace_csv(out_dir / trace, res.records, config_hash=chash)
+        write_trace_csv(out_dir / trace, res.trace, config_hash=chash)
         write_params(out_dir / f"final_x_seed{seed}.csv", res.final.x, chash)
         write_params(out_dir / f"final_y_seed{seed}.csv", res.final.y, chash)
         per_seed[str(seed)] = {**res.summary, "trace_file": trace}
@@ -231,9 +231,9 @@ def cmd_compare(cfg: dict, out_dir, *, seeds_override: list[int] | None = None) 
                     f"series '{label}': recorded {res.summary['grad_evals']} "
                     f"gradient evals, expected {budget_used}"
                 )
-            if len(res.records) != n_rows:
+            if len(res.trace) != n_rows:
                 raise GdakitError(
-                    f"series '{label}': {len(res.records)} checkpoints, "
+                    f"series '{label}': {len(res.trace)} checkpoints, "
                     f"expected {n_rows}"
                 )
         by_series.append(series_results)
@@ -249,14 +249,9 @@ def cmd_compare(cfg: dict, out_dir, *, seeds_override: list[int] | None = None) 
 
     per_seed = {}
     for seed, res_list in zip(seeds, results):
-        rows = []
-        for j in range(n_rows):
-            row: list = [(j + 1) * stride]
-            for res in res_list:
-                rec = res.records[j]
-                row.append(rec.k)
-                row.extend(getattr(rec, m) for m in metrics)
-            rows.append(row)
+        # per series, its k column and then its metric columns
+        cols = [res.trace[key] for res in res_list for key in ("k", *metrics)]
+        rows = [[(j + 1) * stride, *(col[j] for col in cols)] for j in range(n_rows)]
         fname = f"compare_seed{seed}.csv"
         write_table_csv(out_dir / fname, header, rows, config_hash=chash)
         per_seed[str(seed)] = {

@@ -111,16 +111,24 @@ def check_value(raw, typ: str, where: str):
 
     typ is "int" (a JSON integer, or an integral float such as 1e4), "float"
     (a finite JSON number), "bool" (a JSON boolean) or "str"; "X | None" also
-    takes null, and "list[X]" takes a non-empty array of X. A boolean is never
+    takes null, "list[X]" takes a non-empty array of X, and "tuple[X, Y]" an
+    array of exactly one X and one Y, returned as a tuple. A boolean is never
     a number and a string never a number or a boolean.
     """
-    if typ.startswith("list["):
-        if isinstance(raw, (list, tuple)) and raw:
-            return [check_value(v, typ[5:-1], f"{where}[{i}]") for i, v in enumerate(raw)]
-        raise ConfigError(f"{where}: expected a non-empty list, got {raw!r}")
     base = typ.removesuffix(" | None")
     if raw is None and base != typ:
         return None
+    if base.startswith("list["):
+        if isinstance(raw, (list, tuple)) and raw:
+            return [check_value(v, base[5:-1], f"{where}[{i}]") for i, v in enumerate(raw)]
+        raise ConfigError(f"{where}: expected a non-empty list, got {raw!r}")
+    if base.startswith("tuple["):
+        items = base[6:-1].split(", ")
+        if isinstance(raw, (list, tuple)) and len(raw) == len(items):
+            return tuple(
+                check_value(v, t, f"{where}[{i}]") for i, (v, t) in enumerate(zip(raw, items))
+            )
+        raise ConfigError(f"{where}: expected a list of {len(items)} values, got {raw!r}")
     if base in ("bool", "str") and type(raw).__name__ == base:
         return raw
     number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
@@ -185,15 +193,19 @@ def _kind(spec, where: str, valid, key: str = "kind", default=None) -> str:
 
 
 def build_problem(spec) -> Problem:
-    """problem.params are the factory's keyword arguments, which it validates."""
+    """problem.params are the factory's keyword arguments, read against
+    their annotations (a matrix is list[list[float]]), and the factory
+    validates them further. An argument without an annotation is no key;
+    robust_regression's data= takes arrays in memory and has no JSON form,
+    so it is left out too."""
     spec = read_block(spec, "problem", PROBLEM_SCHEMA)
     name = _kind(spec, "problem", PROBLEM_BUILDERS, key="name")
-    params = spec.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("problem.params must be an object")
+    factory = PROBLEM_BUILDERS[name]
+    schema = {k: t for k, t in factory.__annotations__.items() if k not in ("return", "data")}
+    params = read_block(spec.get("params"), "problem.params", schema)
     try:
-        return PROBLEM_BUILDERS[name](**params)
-    except TypeError as exc:
+        return factory(**params)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"problem '{name}': bad params: {exc}") from exc
     except GdakitError as exc:
         raise ConfigError(f"problem '{name}': {exc}") from exc

@@ -11,19 +11,14 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import fields
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from gdakit.core import GdakitError
-from gdakit.diagnostics import TraceRecord
+from gdakit.diagnostics import TraceColumns, TraceRecord
 
 TRACE_COLUMNS = tuple(f.metadata.get("column", f.name) for f in fields(TraceRecord))
-
-# the float-valued fields after k and branch, in column order
-_FLOATS = attrgetter(*(f.name for f in fields(TraceRecord)[2:]))
-
 
 # csv.writer writes cells of these exact types as the formats here do: a
 # str as is, an int through str, a float through repr and None as empty
@@ -38,14 +33,42 @@ def _parse(cell: str):
     return None if cell == "" else float(cell)
 
 
-def write_trace_csv(path, records: list[TraceRecord], config_hash: str | None = None):
-    """One row per record through write_table_csv; the float columns are
-    made floats first, so an int step size is written 1.0, as read back."""
-    rows = [
-        [r.k, r.branch, *[v if v is None else float(v) for v in _FLOATS(r)]]
-        for r in records
+def _plan_cells(col) -> list[str]:
+    """A plan column's cells; a plan value repeats along a run, so each
+    distinct one is formatted once (a zero each time: 0.0 and -0.0 are one
+    dict key but two reprs)."""
+    memo: dict = {}
+    cells = []
+    for v in col:
+        cell = memo.get(v) if v else None
+        if cell is None:
+            cell = memo[v] = "" if v is None else repr(float(v))
+        cells.append(cell)
+    return cells
+
+
+def write_trace_csv(path, trace: TraceColumns | list[TraceRecord], config_hash: str | None = None):
+    """One row per logged step of trace, a TraceColumns or a list of
+    TraceRecords (turned into columns first).
+
+    Each column is formatted once: k through str, branch as it is, a float
+    column through repr(float(v)), so an int step size is written 1.0 as
+    read back, and None as an empty cell. No cell of this schema needs
+    quoting, so the rows joined with "," and ended with "\r\n" are the
+    bytes csv.writer writes for the same cells."""
+    if not isinstance(trace, TraceColumns):
+        trace = TraceColumns.from_records(trace)
+    k, branch, alpha, eta, p, *metrics = trace.columns
+    cells = [
+        list(map(str, k)),
+        branch,
+        *map(_plan_cells, (alpha, eta, p)),
+        *(["" if v is None else repr(float(v)) for v in col] for col in metrics),
     ]
-    write_table_csv(path, TRACE_COLUMNS, rows, config_hash)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if config_hash is not None:
+            fh.write(f"# config_hash={config_hash}\n")
+        fh.write("\r\n".join([",".join(TRACE_COLUMNS), *map(",".join, zip(*cells)), ""]))
 
 
 def read_trace_csv(path) -> tuple[list[TraceRecord], str | None]:
@@ -79,8 +102,7 @@ def write_params(path, arr: np.ndarray, config_hash: str | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         if config_hash is not None:
             fh.write(f"# config_hash={config_hash}\n")
-        for v in arr:
-            fh.write(repr(float(v)) + "\n")
+        fh.write("".join(f"{v!r}\n" for v in arr.tolist()))
 
 
 def read_params(path) -> np.ndarray:

@@ -21,10 +21,15 @@ chains held as (S, m)/(S, n) arrays; run_chains drives it, and run and the
 only for the gradient block it applies (need="x" for a descent step, "y"
 for an ascent step); an rsgda step whose chains' coins disagree is the one
 that asks for both.
+
+A run's logged rows stay columns (diagnostics.TraceColumns) from the stacked
+metric pass to the trace writer; RunResult.records builds the TraceRecords
+on first access.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
@@ -33,6 +38,7 @@ from .core import DivergenceError, ParameterError, RngStream, row_dot
 from .diagnostics import (
     LYAPUNOV_C,
     METRIC_KEYS,
+    TraceColumns,
     TraceRecord,
     h_rows,
     inner_ascent,
@@ -294,10 +300,18 @@ class DiagConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    records: list[TraceRecord]
+    """One chain's run: its logged rows as columns (trace), its final
+    iterate, summary and provenance. records holds the same rows as
+    TraceRecords, built from trace on first access and then cached."""
+
+    trace: TraceColumns
     final: JointPoint
     summary: dict
     provenance: dict = field(default_factory=dict)
+
+    @cached_property
+    def records(self) -> list[TraceRecord]:
+        return self.trace.records()
 
 
 # logged rows per stacked metric pass in run_chains: bounds the buffered
@@ -307,9 +321,10 @@ _LOG_BLOCK = 1024
 
 def _trace_metrics(
     problem: Problem, x: np.ndarray, y: np.ndarray, diag: DiagConfig
-) -> list[dict]:
-    """The logged metrics of each row of x (S, m), y (S, n): one dict per
-    row, a float per metric key (None for a metric that is off).
+) -> list[list | None]:
+    """The logged metrics of the rows of x (S, m), y (S, n): one column per
+    metric key, in METRIC_KEYS order, a list of S floats (None for a metric
+    that is off).
 
     One stacked pass: each exact gradient, phi and F is computed once for
     all rows and shared between the metrics that use it, and every row
@@ -339,28 +354,30 @@ def _trace_metrics(
         out["dist"] = problem.dist_to_opt_batch(x, y).tolist()
     if diag.loss:
         out["loss"] = f.tolist()
-    cols = [[None] * len(x) if out[key] is None else out[key] for key in METRIC_KEYS]
-    return [dict(zip(METRIC_KEYS, row)) for row in zip(*cols)]
+    return [out[key] for key in METRIC_KEYS]
 
 
-def _flush(problem: Problem, diag: DiagConfig, pending: list, records: list) -> None:
+def _flush(problem: Problem, diag: DiagConfig, pending: list, traces: list) -> None:
     """Compute the metrics of every buffered logged step in one stacked
-    pass over their rows, append each chain's TraceRecords in step order,
+    pass over their rows, extend each chain's trace columns in step order,
     and empty the buffer."""
     if not pending:
         return
-    s = len(records)
-    rows = _trace_metrics(
+    s = len(traces)
+    steps, ks, *plan = zip(*pending)
+    metrics = _trace_metrics(
         problem,
-        np.concatenate([entry[0].x for entry in pending]),
-        np.concatenate([entry[0].y for entry in pending]),
+        np.concatenate([out.x for out in steps]),
+        np.concatenate([out.y for out in steps]),
         diag,
     )
-    for j, (out, k, alpha, eta, p) in enumerate(pending):
-        for i in range(s):
-            records[i].append(
-                TraceRecord(k=k, branch=out.label(i), alpha=alpha, eta=eta, p=p, **rows[j * s + i])
-            )
+    off = [None] * len(steps)
+    for i, trace in enumerate(traces):
+        # the pass's rows are step-major, so chain i's rows are i, i + s, ...
+        labels = [out.label(i) for out in steps]
+        logged = (ks, labels, *plan, *(off if m is None else m[i::s] for m in metrics))
+        for col, vals in zip(trace.columns, logged):
+            col.extend(vals)
     pending.clear()
 
 
@@ -385,11 +402,12 @@ def run_chains(
     gradient alone, so a chain's result does not depend on which chains run
     beside it: run_chains([a, b, c])[1] equals run(b).
 
-    Each chain logs a TraceRecord after every diag.interval-th step and
-    always after the last one. A row carries the post-step iterate's
-    metrics, the branch taken by the step that produced it, and that step's
-    plan values, so summary statistics (min h, final metrics) are
-    recomputable from the trace alone. The logged iterates are buffered and
+    Each chain logs a trace row after every diag.interval-th step and
+    always after the last one, into the columns of its RunResult.trace. A
+    row carries the post-step iterate's metrics, the branch taken by the
+    step that produced it, and that step's plan values, so summary
+    statistics (min h, final metrics) are recomputable from the trace
+    alone. The logged iterates are buffered and
     their metrics computed in one stacked pass per _LOG_BLOCK rows, after
     the last step and before a DivergenceError; each row's values equal
     h_metric, lyapunov, value and the norms of exact_grad at that point.
@@ -425,7 +443,7 @@ def run_chains(
     x_steps = np.zeros(s, dtype=np.int64)
     y_steps = np.zeros(s, dtype=np.int64)
     warnings: list[list[str]] = [[] for _ in range(s)]
-    records: list[list[TraceRecord]] = [[] for _ in range(s)]
+    traces = [TraceColumns() for _ in range(s)]
     # logged steps whose metrics are not computed yet: (ChainStep, k, alpha,
     # eta, p), flushed as one stacked pass per _LOG_BLOCK rows
     pending: list[tuple] = []
@@ -442,7 +460,7 @@ def run_chains(
             )
             x, y = out.x, out.y
             if not ok:
-                _flush(problem, diag, pending, records)
+                _flush(problem, diag, pending, traces)
                 finite = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
                 i = min(np.flatnonzero(~finite), key=lambda j: rngs[j].base_seed)
                 seed = rngs[i].base_seed
@@ -452,7 +470,7 @@ def run_chains(
                     f"p={p}): non-finite iterate",
                     seed=seed,
                     k=k + 1,
-                    records=records[i],
+                    records=traces[i].records(),
                 )
             x_steps += out.x_steps
             y_steps += out.y_steps
@@ -461,20 +479,18 @@ def run_chains(
             if (k + 1) % diag.interval == 0 or k + 1 == iters:
                 pending.append((out, k + 1, alpha, eta, p))
                 if len(pending) * s >= _LOG_BLOCK:
-                    _flush(problem, diag, pending, records)
-        _flush(problem, diag, pending, records)
+                    _flush(problem, diag, pending, traces)
+        _flush(problem, diag, pending, traces)
         # no step logged (iters == 0): the summary reports the initial points
         initial = None if iters else _trace_metrics(problem, x, y, diag)
 
     results = []
-    for i in range(s):
-        final = JointPoint(x[i], y[i])
-        recs = records[i]
-        if recs:
-            final_metrics = {key: getattr(recs[-1], key) for key in METRIC_KEYS}
+    for i, trace in enumerate(traces):
+        if trace:
+            final_metrics = [trace[key][-1] for key in METRIC_KEYS]
         else:
-            final_metrics = initial[i]
-        logged_h = [r.h for r in recs if r.h is not None]
+            final_metrics = [None if col is None else col[i] for col in initial]
+        logged_h = [h for h in trace["h"] if h is not None]
         summary = {
             "kind": kind.tag,
             "plan": plan.kind,
@@ -483,13 +499,13 @@ def run_chains(
             "x_steps": int(x_steps[i]),
             "y_steps": int(y_steps[i]),
             "min_h": min(logged_h) if logged_h else None,
-            **{f"final_{key}": final_metrics[key] for key in METRIC_KEYS},
+            **{f"final_{key}": v for key, v in zip(METRIC_KEYS, final_metrics)},
             "warnings": len(warnings[i]),
         }
         prov = dict(provenances[i] or {})
         prov.setdefault("base_seed", rngs[i].base_seed)
         prov.setdefault("stream_id", rngs[i].stream_id)
-        results.append(RunResult(records=recs, final=final, summary=summary, provenance=prov))
+        results.append(RunResult(trace, JointPoint(x[i], y[i]), summary, prov))
     return results
 
 

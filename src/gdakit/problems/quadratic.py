@@ -251,7 +251,9 @@ class _NcplQuadratic(_AdditiveNoiseProblem):
         return phi, _mv(self.a_pinv, _mv(self.b_mat, x))
 
 
-def make_scsc_quadratic(a: float, coupling, m: int, n: int, sigma: float = 0.0) -> Problem:
+def make_scsc_quadratic(
+    a: float, coupling: list[list[float]] | None, m: int, n: int, sigma: float = 0.0
+) -> Problem:
     """Strongly-convex-strongly-concave quadratic; coupling may be None for B=0."""
     return _ScscQuadratic(a, coupling, m, n, sigma)
 
@@ -260,7 +262,9 @@ def make_bilinear(m: int, n: int, sigma: float = 0.0) -> Problem:
     return _Bilinear(m, n, sigma)
 
 
-def make_ncpl_quadratic(q, c: float, a, b, sigma: float = 0.0) -> Problem:
+def make_ncpl_quadratic(
+    q: list[list[float]], c: float, a: list[list[float]], b: list[list[float]], sigma: float = 0.0
+) -> Problem:
     """Nonconvex in x, gradient-dominated in y. See module docstring."""
     return _NcplQuadratic(q, c, a, b, sigma)
 

@@ -169,7 +169,7 @@ def load_dataset(path) -> tuple[np.ndarray, np.ndarray]:
 def make_robust_regression(
     n: int = 1000,
     d: int = 500,
-    reg_arch=None,
+    reg_arch: list[int] | None = None,
     lam: float = 2.0,
     rng_seed: int = 0,
     batch: int = 100,

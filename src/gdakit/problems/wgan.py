@@ -190,9 +190,9 @@ class _GaussianWgan(Problem):
 
 
 def make_gaussian_wgan(
-    mu_star=(0.5, -1.5),
-    sigma_star=(0.1, 0.3),
-    disc_arch=(2, 16, 16, 1),
+    mu_star: tuple[float, float] = (0.5, -1.5),
+    sigma_star: tuple[float, float] = (0.1, 0.3),
+    disc_arch: list[int] = (2, 16, 16, 1),
     batch: int = 100,
     rng_seed: int = 0,
     l1: float = 4.0,

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from inspect import signature
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from gdakit.diagnostics import TraceRecord
 from gdakit.harness.cli import main
 from gdakit.harness.commands import cmd_check, cmd_compare, cmd_pselect, cmd_run
 from gdakit.harness.config import (
+    PROBLEM_BUILDERS,
     ConfigError,
     build_init,
     build_optimizer,
@@ -81,12 +83,29 @@ def test_canonical_json_rejects_non_serializable():
 def test_build_problem_rejects_unknown_name_and_bad_params():
     with pytest.raises(ConfigError, match="scsc_quadratic"):
         build_problem({"name": "rosenbrock"})
-    with pytest.raises(ConfigError, match="bad params"):
+    with pytest.raises(ConfigError, match=r"problem\.params\.rho: unknown key"):
         build_problem({"name": "bilinear", "params": {"m": 1, "n": 1, "rho": 2}})
+    with pytest.raises(ConfigError, match="bad params"):
+        build_problem({"name": "bilinear", "params": {"m": 1}})
+    # data= takes arrays in memory, which a config cannot hold
+    with pytest.raises(ConfigError, match=r"problem\.params\.data: unknown key"):
+        build_problem({"name": "robust_regression", "params": {"data": [[1.0]]}})
     with pytest.raises(ConfigError):
         build_problem({"name": "scsc_quadratic", "params": {"a": -1.0, "coupling": None, "m": 1, "n": 1}})
     with pytest.raises(ConfigError):
         build_problem("bilinear")
+
+
+def test_every_problem_param_is_typed_for_the_config_reader():
+    # an unannotated factory argument would have no type to read a config
+    # value against; each default must read as its own annotated type
+    for name, factory in PROBLEM_BUILDERS.items():
+        for p in signature(factory).parameters.values():
+            if p.name == "data":  # arrays in memory, not a config key
+                continue
+            assert isinstance(p.annotation, str), f"{name}.{p.name}"
+            if p.default is not p.empty:
+                check_value(p.default, p.annotation, f"{name}.{p.name}")
 
 
 def test_build_optimizer_rejects_unknown_kind_listing_valid_ones():
@@ -167,6 +186,9 @@ def test_parse_seeds_and_iters_validation():
         ("float | None", None, None),
         ("int | None", 4, 4),
         ("list[int]", [3, 1.0], [3, 1]),
+        ("list[list[float]] | None", None, None),
+        ("list[list[float]] | None", [[1, 2.5]], [[1.0, 2.5]]),
+        ("tuple[float, float]", [1, 2.5], (1.0, 2.5)),
     ],
 )
 def test_check_value_accepts_and_converts(typ, raw, want):
@@ -191,6 +213,10 @@ def test_check_value_accepts_and_converts(typ, raw, want):
         ("str", 1),
         ("list[int]", []),
         ("list[int]", [1, True]),
+        ("list[list[float]]", None),
+        ("list[list[float]]", [[1.0], "x"]),
+        ("tuple[float, float]", [1.0]),
+        ("tuple[float, float]", [1.0, "x"]),
     ],
 )
 def test_check_value_refuses_naming_the_key(typ, raw):
@@ -293,6 +319,19 @@ def test_cmd_run_writes_traces_finals_and_summary(tmp_path):
     disk = read_json(out / "summary.json")
     assert disk == summary
     assert "final_dist_mean" in summary["aggregate"]
+
+
+def test_cmd_run_builds_no_trace_record(tmp_path, monkeypatch):
+    # the trace goes from the stacked metric pass to the file as columns
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a TraceRecord was built")
+
+    monkeypatch.setattr(TraceRecord, "__init__", refuse)
+    cmd_run(_run_cfg(diag={"h": True, "v": True, "loss": True}), tmp_path)
+    monkeypatch.undo()
+    recs, _ = read_trace_csv(tmp_path / "trace_seed1.csv")
+    assert [r.k for r in recs] == list(range(1, 11))
+    assert all(r.h is not None and r.loss is not None for r in recs)
 
 
 def test_cmd_run_reruns_byte_identically(tmp_path):
@@ -641,6 +680,14 @@ _MALFORMED = [
     ("compare", {"checkpionts": 3}, "config.checkpionts"),
     ("pselect", {"delta_probe": None}, "config.delta_probe"),
     ("check", {"oracel": {"trials": 200}}, "config.oracel"),
+    # problem.params, which only the factory checked: some values were
+    # coerced ("0.5" built with sigma 0.5), others failed naming no key
+    ("run", {"problem.params.sigma": "0.5"}, "problem.params.sigma"),
+    ("run", {"problem.params.a": "1.0"}, "problem.params.a"),
+    ("run", {"problem.params.m": 2.5}, "problem.params.m"),
+    ("check", {"problem.params.coupling": [[0.4, "0"], [0.0, 0.4]]}, "problem.params.coupling[0][1]"),
+    ("pselect", {"problem.params.c": None}, "problem.params.c"),
+    ("compare", {"problem.params.mu_star": [0.5]}, "problem.params.mu_star"),
 ]
 
 

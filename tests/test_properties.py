@@ -1,15 +1,18 @@
 """Property tests: the feasibility boundary at p_max, key-order-free config
-hashing, and the trace CSV round trip."""
+hashing, and the trace CSV round trip and bytes."""
+import csv
+import io
 import math
 import tempfile
+from dataclasses import astuple
 from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gdakit.diagnostics import TraceRecord
+from gdakit.diagnostics import TraceColumns, TraceRecord
 from gdakit.harness.config import config_hash
-from gdakit.harness.io import read_trace_csv, write_trace_csv
+from gdakit.harness.io import TRACE_COLUMNS, read_trace_csv, write_trace_csv
 from gdakit.problems import ProblemConstants
 from gdakit.schedules import p_max, step_constraints
 
@@ -76,10 +79,67 @@ _record = st.builds(
 )
 
 
+_chash = st.none() | st.text("0123456789abcdef", min_size=64, max_size=64)
+
+
 @settings(max_examples=100, deadline=None)
-@given(records=st.lists(_record, max_size=8), chash=st.none() | st.text("0123456789abcdef", min_size=64, max_size=64))
-def test_trace_csv_round_trips(records, chash):
+@given(records=st.lists(_record, max_size=8), chash=_chash, columns=st.booleans())
+def test_trace_csv_round_trips(records, chash, columns):
+    trace = TraceColumns.from_records(records) if columns else records
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
-        write_trace_csv(path, records, config_hash=chash)
+        write_trace_csv(path, trace, config_hash=chash)
         assert read_trace_csv(path) == (records, chash)
+
+
+def _csv_writer_bytes(records, chash) -> bytes:
+    """The trace file as csv.writer writes it, from rows of k, branch and
+    each float field made a float (None stays None)."""
+    buf = io.StringIO(newline="")
+    if chash is not None:
+        buf.write(f"# config_hash={chash}\n")
+    wr = csv.writer(buf)
+    wr.writerow(TRACE_COLUMNS)
+    for r in records:
+        k, branch, *floats = astuple(r)
+        wr.writerow([k, branch, *(v if v is None else float(v) for v in floats)])
+    return buf.getvalue().encode()
+
+
+_edge = st.sampled_from(
+    [None, math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -2.2e-308, 1e16, 1e-5, 0.1]
+)
+_any = _edge | st.floats()
+_step = _edge | st.integers(-3, 3) | st.floats()
+_wild = st.builds(
+    TraceRecord,
+    k=st.integers(0, 10**9),
+    branch=st.sampled_from(["x", "y", "both"]),
+    alpha=_step,
+    eta=_step,
+    p=_step,
+    grad_x_norm=_any,
+    grad_y_norm=_any,
+    h=_any,
+    v=_any,
+    dist=_any,
+    loss=_any,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(records=st.lists(_wild, max_size=6), chash=_chash)
+@example(records=[], chash=None)
+@example(
+    records=[
+        TraceRecord(0, "both", 1, -0.0, None, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e-5),
+        TraceRecord(7, "x", 0.1, 2, 0.0, None, None, -0.0, None, -2.2e-308, None),
+    ],
+    chash="0" * 64,
+)
+def test_trace_csv_bytes_are_csv_writers(records, chash):
+    with tempfile.TemporaryDirectory() as tmp:
+        rows, cols = Path(tmp) / "rows.csv", Path(tmp) / "cols.csv"
+        write_trace_csv(rows, records, config_hash=chash)
+        write_trace_csv(cols, TraceColumns.from_records(records), config_hash=chash)
+        assert rows.read_bytes() == cols.read_bytes() == _csv_writer_bytes(records, chash)
