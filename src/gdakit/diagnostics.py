@@ -99,37 +99,45 @@ class TraceColumns:
 
 
 def inner_ascent(
-    problem: Problem, x: np.ndarray, y: np.ndarray, tol: float, max_iters: int
-) -> tuple[np.ndarray, bool, int]:
-    """Exact gradient ascent in y from (x, y) with step 1/l1 until the inner
-    gap max_y F(x, .) - F(x, y) is certified <= tol; returns (y, certified,
-    ascent steps).
+    problem: Problem, x: np.ndarray, y: np.ndarray, tol: float | np.ndarray, max_iters: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact gradient ascent in y with step 1/l1 from each row of x (S, m),
+    y (S, n), until the row's inner gap max_y F(x, .) - F(x, y) is
+    certified <= tol (> 0; a scalar or one per row); returns (y (S, n),
+    certified (S,) bool, ascent steps (S,) int).
 
-    The certificate is phi(x) - F(x, y) when a closed phi exists (phi is
-    computed once), else |grad_y F|^2 / (2 mu), which bounds the gap under
-    gradient domination and comes from the gradient the step uses. Each
-    gradient is the y block alone (need="y"). The iterate reached at the
-    budget is checked too; certified=False flags budget exhaustion.
+    The certificate is phi(x) - F(x, y) when a closed phi exists (computed
+    once), else |grad_y F|^2 / (2 mu), which bounds the gap under gradient
+    domination and comes from the gradient the step uses (need="y"). The
+    live rows step together, each with the bits of its ascent alone; a row
+    leaves once certified or at max_iters steps, the iterate reached at the
+    budget checked too (certified=False flags budget exhaustion).
     """
     step = 1.0 / problem.constants.l1
     two_mu = 2.0 * problem.constants.mu
-    phi = None if problem.closed_phi_batch is None else problem.closed_phi(x)[0]
-    steps = 0
+    tol = np.broadcast_to(tol, (len(x),))
+    if not (tol > 0).all():
+        raise ParameterError(f"inner_ascent: tol must be > 0, got {tol}")
+    phi = None if problem.closed_phi_batch is None else problem.closed_phi_batch(x)[0]
+    y = np.array(y, dtype=np.float64)
+    certified = np.zeros(len(x), dtype=bool)
+    steps = np.zeros(len(x), dtype=np.int64)
+    live = np.arange(len(x))
     while True:
-        point = JointPoint(x, y)
+        xl, yl = x[live], y[live]
         if phi is None:
-            gy = problem.exact_grad_batch(point.x[None], point.y[None], "y")[1][0]
-            gap = float(gy @ gy) / two_mu
+            gy = problem.exact_grad_batch(xl, yl, "y")[1]
+            gap = row_dot(gy, gy) / two_mu
         else:
-            gap = phi - problem.value(point)
-        if gap <= tol:
-            return y, True, steps
-        if steps >= max_iters:
-            return y, False, steps
-        if phi is not None:
-            gy = problem.exact_grad_batch(point.x[None], point.y[None], "y")[1][0]
-        y = y + step * gy
-        steps += 1
+            gap = phi[live] - problem.value_batch(xl, yl)
+        certified[live] = gap <= tol[live]
+        go = ~certified[live] & (steps[live] < max_iters)
+        if not go.any():
+            return y, certified, steps
+        live, xl, yl = live[go], xl[go], yl[go]
+        gy = gy[go] if phi is None else problem.exact_grad_batch(xl, yl, "y")[1]
+        y[live] = yl + step * gy
+        steps[live] += 1
 
 
 @dataclass(frozen=True)
@@ -147,15 +155,14 @@ def phi_inner(
     tol: float,
     max_iters: int = 10_000,
 ) -> PhiEstimate:
-    """Estimate phi(x) as F(x, y_hat) at the end point y_hat of
-    inner_ascent from y0. converged=False flags budget exhaustion (the
+    """Estimate phi(x) as F(x, y_hat) at the end point y_hat of inner_ascent
+    from y0, its S = 1 view. converged=False flags budget exhaustion (the
     estimate is then a lower bound of uncertified accuracy)."""
     require_phi(problem)
-    if tol <= 0:
-        raise ParameterError(f"phi_inner: tol must be > 0, got {tol}")
-    y0 = np.array(y0, dtype=np.float64)
+    x, y0 = problem._one(JointPoint(x, y0))
     y, converged, iters = inner_ascent(problem, x, y0, tol, max_iters)
-    return PhiEstimate(problem.value(JointPoint(x, y)), y, converged, iters)
+    phi = float(problem.value_batch(x, y)[0])
+    return PhiEstimate(phi, y[0], bool(converged[0]), int(iters[0]))
 
 
 def phi_rows(
@@ -167,26 +174,19 @@ def phi_rows(
     f: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(phi (S,), y*(x) (S, n)) at each row of x (S, m), y (S, n): one
-    closed_phi_batch call, or else a certified inner ascent per row from
-    that row's y. The ascent's default tolerance is relative,
-    1e-8 * max(1, |F(x, y)|), which keeps the certificate meaningful across
-    scales; f, when given, holds the rows' values F(x, y) for it."""
+    closed_phi_batch call, or else one stacked inner_ascent from the rows'
+    y, with phi = F(x, y*). The ascent's default tolerance is relative,
+    1e-8 * max(1, |F(x, y)|) per row (a NaN F counting as 1), which keeps
+    the certificate meaningful across scales; f, when given, holds the
+    rows' values F(x, y) for it."""
     require_phi(problem)
     if problem.closed_phi_batch is not None:
         return problem.closed_phi_batch(x)
-    if inner_tol is None and f is None:
-        f = problem.value_batch(x, y)
-    ests = [
-        phi_inner(
-            problem,
-            x[i],
-            y[i],
-            1e-8 * max(1.0, abs(float(f[i]))) if inner_tol is None else inner_tol,
-            inner_budget,
-        )
-        for i in range(len(x))
-    ]
-    return np.array([e.phi for e in ests]), np.stack([e.y_hat for e in ests])
+    if inner_tol is None:
+        f = problem.value_batch(x, y) if f is None else f
+        inner_tol = 1e-8 * np.fmax(1.0, np.abs(f))
+    y_star = inner_ascent(problem, x, y, inner_tol, inner_budget)[0]
+    return problem.value_batch(x, y_star), y_star
 
 
 def h_rows(
@@ -221,8 +221,7 @@ def h_metric(
     ascent-certified inner maximizer. This is the one-point use of the
     stacked formula h_rows.
     """
-    problem.check_point(point)
-    x, y = point.x[None], point.y[None]
+    x, y = problem._one(point)
     _, y_star = phi_rows(problem, x, y, inner_tol, inner_budget)
     gx, gy = problem.exact_grad_batch(x, y)
     g_star = problem.exact_grad_batch(x, y_star, "x")[0]
@@ -241,8 +240,7 @@ def lyapunov(
     of the stacked formula merit_rows."""
     if c < 0:
         raise ParameterError(f"lyapunov: c must be >= 0, got {c}")
-    problem.check_point(point)
-    x, y = point.x[None], point.y[None]
+    x, y = problem._one(point)
     f = problem.value_batch(x, y)
     phi, _ = phi_rows(problem, x, y, inner_tol, inner_budget, f)
     return float(merit_rows(phi, f, c)[0])

@@ -289,9 +289,10 @@ def cmd_compare(cfg: dict, out_dir, *, seeds_override: list[int] | None = None) 
 
 def _phi_of(problem: Problem, point, inner_tol, inner_budget) -> tuple[float, float]:
     """(V, phi) at a point; phi recovered from V and F without a second
-    inner solve."""
-    v = lyapunov(problem, point, inner_tol=inner_tol, inner_budget=inner_budget)
-    f = problem.value(point)
+    inner solve; as in run_chains, overflow is a non-finite V, not a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = lyapunov(problem, point, inner_tol=inner_tol, inner_budget=inner_budget)
+        f = problem.value(point)
     phi = (v + LYAPUNOV_C * f) / (1.0 + LYAPUNOV_C)
     return v, phi
 

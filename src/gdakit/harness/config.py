@@ -111,7 +111,8 @@ def check_value(raw, typ: str, where: str):
 
     typ is "int" (a JSON integer, or an integral float such as 1e4), "float"
     (a finite JSON number), "bool" (a JSON boolean) or "str"; "X | None" also
-    takes null, "list[X]" takes a non-empty array of X, and "tuple[X, Y]" an
+    takes null, "list[X]" takes a non-empty array of X (a matrix's rows of
+    one length when X is a list), and "tuple[X, Y]" an
     array of exactly one X and one Y, returned as a tuple. A boolean is never
     a number and a string never a number or a boolean.
     """
@@ -120,7 +121,11 @@ def check_value(raw, typ: str, where: str):
         return None
     if base.startswith("list["):
         if isinstance(raw, (list, tuple)) and raw:
-            return [check_value(v, base[5:-1], f"{where}[{i}]") for i, v in enumerate(raw)]
+            out = [check_value(v, base[5:-1], f"{where}[{i}]") for i, v in enumerate(raw)]
+            for i, row in enumerate(out if base.startswith("list[list[") else ()):
+                if len(row) != len(out[0]):
+                    raise ConfigError(f"{where}[{i}]: expected {len(out[0])} values like row 0")
+            return out
         raise ConfigError(f"{where}: expected a non-empty list, got {raw!r}")
     if base.startswith("tuple["):
         items = base[6:-1].split(", ")

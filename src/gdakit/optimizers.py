@@ -115,21 +115,13 @@ class SgdMax:
             raise ParameterError("SgdMax: inner_max_iters must be >= 1")
 
     def step(self, problem, x, y, rngs, alpha, eta, p, k) -> ChainStep:
-        """Certified inner ascent (diagnostics.inner_ascent) chain by chain,
-        each stopping after its own number of steps, then one stochastic
-        descent step for all."""
-        ascents = [
-            inner_ascent(problem, xi, yi, self.delta, self.inner_max_iters)
-            for xi, yi in zip(x, y)
-        ]
-        y_new = np.stack([a[0] for a in ascents])
+        """One stacked certified inner ascent (diagnostics.inner_ascent),
+        each chain stopping after its own number of steps, then one
+        stochastic descent step for all."""
+        y_new, certified, inner = inner_ascent(problem, x, y, self.delta, self.inner_max_iters)
         gx = problem.grad_with_sample_batch(x, y_new, problem.draw_rows(rngs), "x")[0]
-        warn = tuple(
-            (i, f"sgdmax: inner budget {self.inner_max_iters} exhausted at k={k}")
-            for i, a in enumerate(ascents)
-            if not a[1]
-        )
-        inner = np.array([a[2] for a in ascents])
+        msg = f"sgdmax: inner budget {self.inner_max_iters} exhausted at k={k}"
+        warn = tuple((i, msg) for i in np.flatnonzero(~certified).tolist())
         return ChainStep(x - alpha * gx, y_new, 1, inner, "both", warn)
 
 
@@ -296,6 +288,10 @@ class DiagConfig:
     def __post_init__(self):
         if self.interval < 1:
             raise ParameterError(f"DiagConfig: interval must be >= 1, got {self.interval}")
+        if self.inner_tol is not None and not self.inner_tol > 0:
+            raise ParameterError(f"DiagConfig: inner_tol must be > 0, got {self.inner_tol}")
+        if self.inner_budget < 0:
+            raise ParameterError(f"DiagConfig: inner_budget must be >= 0, got {self.inner_budget}")
 
 
 @dataclass(frozen=True)
@@ -329,8 +325,8 @@ def _trace_metrics(
     One stacked pass: each exact gradient, phi and F is computed once for
     all rows and shared between the metrics that use it, and every row
     equals h_metric, lyapunov, the norm of exact_grad and value at that
-    point alone. Problems without a closed phi run their inner ascent row
-    by row."""
+    point alone. Problems without a closed phi run one stacked certified
+    inner ascent (diagnostics.phi_rows) over all rows."""
     out: dict = dict.fromkeys(METRIC_KEYS)
     can_phi = problem.pl_condition and (
         problem.closed_phi_batch is not None or diag.inner_budget > 0

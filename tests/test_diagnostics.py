@@ -224,12 +224,26 @@ def test_inner_ascent_is_the_one_phi_inner_and_sgdmax_use():
     rng = RngStream(5, 0)
     x = rng.gauss(prob.m, 1.0)
     y0 = rng.gauss(prob.n, 1.0)
-    y, certified, steps = inner_ascent(prob, x, y0, 1e-4, 1000)
+    y, certified, steps = inner_ascent(prob, x[None], y0[None], 1e-4, 1000)
     est = phi_inner(prob, x, y0, 1e-4, 1000)
     out = SgdMax(1e-4, 1000).step(prob, x[None], y0[None], [RngStream(0, 0)], 0.1, None, None, 0)
-    assert certified and est.converged and out.warnings == ()
-    assert steps == est.iters == out.y_steps[0]
-    assert np.array_equal(y, est.y_hat) and np.array_equal(y, out.y[0])
+    assert certified[0] and est.converged and out.warnings == ()
+    assert steps[0] == est.iters == out.y_steps[0]
+    assert np.array_equal(y[0], est.y_hat) and np.array_equal(y[0], out.y[0])
+
+
+def test_inner_ascent_refuses_a_tolerance_that_is_not_positive():
+    prob = random_ncpl_instance(0)
+    x, y = prob.random_points(RngStream(5, 1), 2, 1.0)
+    for tol in (0.0, -1.0, np.nan, np.array([1e-6, 0.0])):
+        with pytest.raises(ParameterError, match="tol must be > 0"):
+            inner_ascent(prob, x, y, tol, 10)
+    with pytest.raises(ParameterError, match="tol must be > 0"):
+        phi_inner(prob, x[0], y[0], 0.0)
+    # without a closed phi, the one-point metrics reach the ascent too
+    prob.closed_phi_batch = None
+    with pytest.raises(ParameterError, match="tol must be > 0"):
+        lyapunov(prob, JointPoint(x[0], y[0]), inner_tol=0.0)
 
 
 def _trace(hs):

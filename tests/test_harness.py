@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import gdakit
-from gdakit.core import ConstraintError, RngStream
+from gdakit.core import ConstraintError, DivergenceError, RngStream
 from gdakit.diagnostics import TraceRecord
 from gdakit.harness.cli import main
 from gdakit.harness.commands import cmd_check, cmd_compare, cmd_pselect, cmd_run
@@ -215,6 +215,7 @@ def test_check_value_accepts_and_converts(typ, raw, want):
         ("list[int]", [1, True]),
         ("list[list[float]]", None),
         ("list[list[float]]", [[1.0], "x"]),
+        ("list[list[float]]", [[0.4, 0.0], [0.0]]),
         ("tuple[float, float]", [1.0]),
         ("tuple[float, float]", [1.0, "x"]),
     ],
@@ -564,6 +565,17 @@ def test_cmd_pselect_validation(tmp_path):
         cmd_pselect(_pselect_cfg(0.0, delta=0.0), tmp_path)
 
 
+def test_cmd_pselect_probe_divergence_is_an_error_not_a_warning(tmp_path):
+    # the first step lands where the merit value's matmul overflows
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    cfg = json.loads((configs / "pselect_ncpl.json").read_text())
+    cfg["probe"].update(alpha=1e300, eta=1e300, p=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="diverged at step 1:"):
+            cmd_pselect(cfg, tmp_path)
+
+
 # ---------------------------------------------------------------- check
 
 def test_cmd_check_passes_on_well_posed_problem(tmp_path):
@@ -687,6 +699,12 @@ _MALFORMED = [
     ("run", {"problem.params.m": 2.5}, "problem.params.m"),
     ("check", {"problem.params.coupling": [[0.4, "0"], [0.0, 0.4]]}, "problem.params.coupling[0][1]"),
     ("pselect", {"problem.params.c": None}, "problem.params.c"),
+    # a ragged matrix, which numpy refused naming no key
+    ("run", {"problem.params.coupling": [[0.4, 0.0], [0.0]]}, "problem.params.coupling[1]"),
+    # inner-ascent settings, which failed only once a metric needed the
+    # ascent (inner_tol) or silently turned h and V off (inner_budget)
+    ("run", {"diag.inner_tol": 0.0}, "diag: DiagConfig: inner_tol"),
+    ("run", {"diag.inner_budget": -1}, "diag: DiagConfig: inner_budget"),
     ("compare", {"problem.params.mu_star": [0.5]}, "problem.params.mu_star"),
 ]
 

@@ -110,7 +110,7 @@ def test_sgdmax_descends_on_x_and_its_inner_ascent_asks_for_y():
     # without a closed phi, the certificate comes from the y block too
     prob.closed_phi_batch = None
     log["exact"].clear()
-    inner_ascent(prob, x[0], y[0], 1e-8, 50)
+    inner_ascent(prob, x[0][None], y[0][None], 1e-8, 50)
     assert log["exact"] and set(log["exact"]) == {"y"}
 
 

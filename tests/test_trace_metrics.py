@@ -15,8 +15,8 @@ from gdakit.diagnostics import (
     LYAPUNOV_C,
     TraceRecord,
     h_metric,
+    inner_ascent,
     lyapunov,
-    phi_inner,
 )
 from gdakit.optimizers import DiagConfig, Rsgda, Sgda, SgdMax, run, run_chains
 from gdakit.problems import (
@@ -35,6 +35,33 @@ _KEYS = ("grad_x_norm", "grad_y_norm", "h", "v", "dist", "loss")
 # -- per-point reference ------------------------------------------------------
 
 
+def _ref_ascent(problem, x, y, tol, max_iters):
+    """The certified inner ascent at one point (x (m,), y (n,)), one
+    single-point oracle call at a time; returns (y, certified, steps).
+    Exact gradient ascent in y with step 1/l1 until the inner gap, phi(x) -
+    F(x, y) with a closed phi and |grad_y F|^2 / (2 mu) without, is <= tol,
+    checking the iterate reached at the budget too."""
+    step = 1.0 / problem.constants.l1
+    two_mu = 2.0 * problem.constants.mu
+    phi = None if problem.closed_phi_batch is None else problem.closed_phi(x)[0]
+    steps = 0
+    while True:
+        point = JointPoint(x, y)
+        if phi is None:
+            gy = problem.exact_grad_batch(point.x[None], point.y[None], "y")[1][0]
+            gap = float(gy @ gy) / two_mu
+        else:
+            gap = phi - problem.value(point)
+        if gap <= tol:
+            return y, True, steps
+        if steps >= max_iters:
+            return y, False, steps
+        if phi is not None:
+            gy = problem.exact_grad_batch(point.x[None], point.y[None], "y")[1][0]
+        y = y + step * gy
+        steps += 1
+
+
 def _ref_phi(problem, point, diag):
     """(phi, y*) at one point: closed form, or the certified inner ascent
     with its relative default tolerance."""
@@ -43,8 +70,8 @@ def _ref_phi(problem, point, diag):
     tol = diag.inner_tol
     if tol is None:
         tol = 1e-8 * max(1.0, abs(problem.value(point)))
-    est = phi_inner(problem, point.x, point.y, tol, diag.inner_budget)
-    return est.phi, est.y_hat
+    y_hat, _, _ = _ref_ascent(problem, point.x, point.y, tol, diag.inner_budget)
+    return problem.value(JointPoint(point.x, y_hat)), y_hat
 
 
 def _ref_h(problem, point, diag):
@@ -296,6 +323,37 @@ def test_zero_iterations_summary_uses_stacked_metrics_of_initial_points():
         got = {key: res.summary[f"final_{key}"] for key in _KEYS}
         assert {k: _hex(v) for k, v in got.items()} == {k: _hex(v) for k, v in want.items()}
         assert got["h"] is not None and got["v"] is not None
+
+
+_ASCENT_CASES = [
+    *((name, hide) for name in ("scsc_quadratic", "random_ncpl", "robust_regression")
+      for hide in (False, True)),
+    ("bilinear", False),
+    ("gaussian_wgan", False),
+]
+
+
+@pytest.mark.parametrize(
+    "problem_name,hide_phi", _ASCENT_CASES,
+    ids=[f"{n}-{'no_closed_phi' if h else 'as_built'}" for n, h in _ASCENT_CASES],
+)
+def test_stacked_inner_ascent_rows_equal_the_one_point_ascent(problem_name, hide_phi):
+    prob = PROBLEMS[problem_name]()
+    if hide_phi:
+        _without_closed_phi(prob)
+    x, y = prob.random_points(RngStream(3, 4), 9, 2.0)
+    # per-row tolerances: the first row certifies at once, the others later
+    # or never, so the rows leave the stacked ascent at different steps
+    tols = np.array([1e3, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10])
+    for budget in (0, 1, 3, 200):
+        for tol in (1e-6, tols):
+            y_hat, certified, steps = inner_ascent(prob, x, y, tol, budget)
+            assert y_hat.shape == y.shape and certified.shape == steps.shape == (9,)
+            for i in range(9):
+                want = _ref_ascent(prob, x[i], y[i], np.broadcast_to(tol, 9)[i], budget)
+                assert y_hat[i].tobytes() == want[0].tobytes()
+                assert (certified[i], steps[i]) == want[1:]
+    assert steps[0] == 0 and len(set(steps.tolist())) > 1
 
 
 @pytest.mark.parametrize("problem_name", ["scsc_quadratic", "random_ncpl", "robust_regression"])
