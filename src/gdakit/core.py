@@ -17,7 +17,12 @@ class DimensionError(GdakitError):
 
 
 class ParameterError(GdakitError):
-    """A scalar argument is outside its documented domain."""
+    """A scalar argument is outside its documented domain; key names the
+    argument where the raiser knows it, so a config reader can name its key."""
+
+    def __init__(self, message: str, *, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class ConstructionError(GdakitError):

@@ -11,20 +11,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import partial
 from inspect import signature
 from pathlib import Path
 
 import numpy as np
 
 from gdakit import __version__, diagnostics
-from gdakit.core import DivergenceError, GdakitError, RngStream
-from gdakit.diagnostics import LYAPUNOV_C, METRIC_KEYS, contraction_alpha_cap, lyapunov
-from gdakit.optimizers import init_state, rsgda_step
+from gdakit.core import DivergenceError, GdakitError, ParameterError, RngStream
+from gdakit.diagnostics import LYAPUNOV_C, METRIC_KEYS, TraceColumns, contraction_alpha_cap
+from gdakit.optimizers import DiagConfig, Rsgda
 
 # bound as `run`: bench/tracer.py times the run loop by wrapping commands.run
 from gdakit.optimizers import run_chains as run
-from gdakit.problems import Problem, check_oracle
-from gdakit.schedules import AdaPSchedule, optimal_p, p_max, step_constraints
+from gdakit.problems import check_oracle, require_phi
+from gdakit.schedules import AdaPSchedule, constant_plan, optimal_p, p_max, step_constraints
 from gdakit.harness.config import (
     SERIES_SCHEMA,
     ConfigError,
@@ -183,6 +184,8 @@ def cmd_compare(cfg: dict, out_dir, *, seeds_override: list[int] | None = None) 
     metrics = check_value(cfg.get("metrics", ["dist"]), "list[str]", "metrics")
     if any(m not in METRIC_KEYS for m in metrics):
         raise ConfigError(f"metrics: must be a subset of {list(METRIC_KEYS)}, got {metrics}")
+    if len(set(metrics)) != len(metrics):
+        raise ConfigError(f"metrics: each metric may be listed once, got {metrics}")
 
     eps = [kind.evals_per_step for _, kind, _ in series]
     lcm = math.lcm(*eps)
@@ -287,16 +290,6 @@ def cmd_compare(cfg: dict, out_dir, *, seeds_override: list[int] | None = None) 
     return summary
 
 
-def _phi_of(problem: Problem, point, inner_tol, inner_budget) -> tuple[float, float]:
-    """(V, phi) at a point; phi recovered from V and F without a second
-    inner solve; as in run_chains, overflow is a non-finite V, not a warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = lyapunov(problem, point, inner_tol=inner_tol, inner_budget=inner_budget)
-        f = problem.value(point)
-    phi = (v + LYAPUNOV_C * f) / (1.0 + LYAPUNOV_C)
-    return v, phi
-
-
 PROBE_SCHEMA = {
     "iters": "int",
     "seed": "int",
@@ -311,12 +304,15 @@ PROBE_SCHEMA = {
 def cmd_pselect(cfg: dict, out_dir) -> dict:
     """Update-probability selection for the randomized single-sample method.
 
-    A short probe run estimates the initial optimality gap delta as (merit
-    value after the first step) minus (smallest phi value seen during the
-    probe, a lower-bound proxy for min phi). The optimal-p formula then maps
-    each horizon n in the grid to its best constant p, and the curve is
-    condensed into a warmup + 1/j staircase schedule anchored to match the
-    curve at both ends of the grid.
+    Unless delta is given, a short probe estimates the initial optimality
+    gap delta as (merit value V after the first step) minus (smallest phi
+    seen during the probe, a lower-bound proxy for min phi). The probe is
+    one S = 1 engine run at constant steps with waived constraints, logging
+    V and F, so phi = (V + c F) / (1 + c); its zero-step run gives them at
+    the initial point. The optimal-p formula then maps each horizon n in
+    the grid to its best constant p, and the curve is condensed into a
+    warmup + 1/j staircase schedule anchored to match the curve at both
+    ends of the grid.
     """
     read_block(cfg, "config", PSELECT_SCHEMA)
     problem = build_problem(cfg.get("problem"))
@@ -332,6 +328,8 @@ def cmd_pselect(cfg: dict, out_dir) -> dict:
     probe = read_block(cfg.get("probe"), "probe", PROBE_SCHEMA)
     probe_info: dict | None = None
     if "delta" in cfg:
+        if "probe" in cfg:
+            raise ConfigError("delta and probe: set one; the probe only estimates delta")
         delta = check_value(cfg["delta"], "float", "delta")
         if delta <= 0:
             raise ConfigError(f"delta: must be > 0, got {delta}")
@@ -343,35 +341,44 @@ def cmd_pselect(cfg: dict, out_dir) -> dict:
         p_probe = probe.get("p", p_max(c))
         alpha_probe = probe.get("alpha", alpha)
         eta_probe = probe.get("eta", 1.0 / c.l1)
-        inner_tol = probe.get("inner_tol")
-        inner_budget = probe.get("inner_budget", 10_000)
-
-        rng = RngStream(probe_seed, stream_id=0)
-        state = init_state(build_init(cfg.get("init"), problem, probe_seed), rng)
-        _, phi0 = _phi_of(problem, state.point, inner_tol, inner_budget)
-        phi_min = phi0
-        v1 = math.nan
-        for _ in range(probe_iters):
-            state = rsgda_step(problem, state, alpha_probe, eta_probe, p_probe)
-            v, phi = _phi_of(problem, state.point, inner_tol, inner_budget)
-            if not math.isfinite(v) or v > DIVERGENCE_CAP:
-                raise DivergenceError(
-                    f"pselect probe diverged at step {state.k}: V={v!r} "
-                    f"(alpha={alpha_probe}, eta={eta_probe}, p={p_probe})"
-                )
-            if state.k == 1:
-                v1 = v
-            phi_min = min(phi_min, phi)
-        delta = max(v1 - phi_min, 1e-12)
-        probe_info = {
-            "iters": probe_iters,
-            "seed": probe_seed,
-            "alpha": alpha_probe,
-            "eta": eta_probe,
-            "p": p_probe,
-            "v_after_first_step": v1,
-            "phi_lower_bound": phi_min,
-        }
+        inner = {key: val for key, val in probe.items() if key.startswith("inner_")}
+        try:
+            plan = constant_plan(alpha_probe, eta_probe, p_probe)
+            diag = DiagConfig(grad_norms=False, dist=False, v=True, loss=True, **inner)
+        except ParameterError as exc:
+            raise ConfigError(f"probe.{exc.key}: {exc}") from exc
+        if diag.inner_budget == 0 and problem.closed_phi_batch is None:
+            raise ConfigError("probe.inner_budget: must be >= 1 on a problem without a closed phi")
+        init = build_init(cfg.get("init"), problem, probe_seed)
+        require_phi(problem)
+        rngs = [RngStream(probe_seed, stream_id=0)]
+        probe_run = partial(run, problem, Rsgda(), plan, [init], rngs=rngs, diag=diag,
+                            waive_constraints=True)
+        # a zero-step run draws nothing and logs V and F at the initial point
+        start = probe_run(0)[0].summary
+        try:
+            trace, k = probe_run(probe_iters)[0].trace, None
+        except DivergenceError as exc:
+            trace, k = TraceColumns.from_records(exc.records), exc.k
+        vs = trace["v"]
+        bad = (j + 1 for j, v in enumerate(vs) if not math.isfinite(v) or v > DIVERGENCE_CAP)
+        k = next(bad, k)
+        if k is not None:
+            why = f"V={vs[k - 1]!r}" if k <= len(vs) else "non-finite iterate"
+            raise DivergenceError(
+                f"pselect probe diverged at step {k}: {why} "
+                f"(alpha={alpha_probe}, eta={eta_probe}, p={p_probe})",
+                seed=probe_seed, k=k, records=trace.records()[: k - 1],
+            )
+        phi_min = min(
+            (v + LYAPUNOV_C * f) / (1.0 + LYAPUNOV_C)
+            for v, f in zip([start["final_v"], *vs], [start["final_loss"], *trace["loss"]])
+        )
+        delta = max(vs[0] - phi_min, 1e-12)
+        probe_info = dict(
+            iters=probe_iters, seed=probe_seed, alpha=alpha_probe, eta=eta_probe, p=p_probe,
+            v_after_first_step=vs[0], phi_lower_bound=phi_min,
+        )
 
     curve = [(n, optimal_p(c, delta, alpha, n)) for n in n_grid]
 

@@ -286,12 +286,14 @@ class DiagConfig:
     inner_budget: int = 10_000
 
     def __post_init__(self):
-        if self.interval < 1:
-            raise ParameterError(f"DiagConfig: interval must be >= 1, got {self.interval}")
-        if self.inner_tol is not None and not self.inner_tol > 0:
-            raise ParameterError(f"DiagConfig: inner_tol must be > 0, got {self.inner_tol}")
-        if self.inner_budget < 0:
-            raise ParameterError(f"DiagConfig: inner_budget must be >= 0, got {self.inner_budget}")
+        for key, ok, want in (
+            ("interval", self.interval >= 1, ">= 1"),
+            ("inner_tol", self.inner_tol is None or self.inner_tol > 0, "> 0"),
+            ("inner_budget", self.inner_budget >= 0, ">= 0"),
+        ):
+            if not ok:
+                got = getattr(self, key)
+                raise ParameterError(f"DiagConfig: {key} must be {want}, got {got}", key=key)
 
 
 @dataclass(frozen=True)

@@ -125,8 +125,9 @@ class StepPlan:
 
 
 def constant_plan(alpha: float, eta: float, p: float | AdaPSchedule = 0.5) -> StepPlan:
-    if alpha <= 0 or eta <= 0:
-        raise ParameterError("constant_plan: alpha and eta must be > 0")
+    for key, val in (("alpha", alpha), ("eta", eta)):
+        if val <= 0:
+            raise ParameterError(f"constant_plan: {key} must be > 0, got {val}", key=key)
     p_fn = p if isinstance(p, AdaPSchedule) else _const_p(p)
     kind = "constant+ada_p" if isinstance(p, AdaPSchedule) else "constant"
     return StepPlan(lambda k: alpha, lambda k: eta, p_fn, kind=kind)
@@ -134,7 +135,7 @@ def constant_plan(alpha: float, eta: float, p: float | AdaPSchedule = 0.5) -> St
 
 def _const_p(p: float) -> Callable[[int], float]:
     if not (0 < p <= 1):
-        raise ParameterError(f"plan: p must lie in (0, 1], got {p}")
+        raise ParameterError(f"plan: p must lie in (0, 1], got {p}", key="p")
     return lambda k: p
 
 

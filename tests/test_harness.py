@@ -15,7 +15,7 @@ import pytest
 
 import gdakit
 from gdakit.core import ConstraintError, DivergenceError, RngStream
-from gdakit.diagnostics import TraceRecord
+from gdakit.diagnostics import LYAPUNOV_C, TraceRecord, lyapunov
 from gdakit.harness.cli import main
 from gdakit.harness.commands import cmd_check, cmd_compare, cmd_pselect, cmd_run
 from gdakit.harness.config import (
@@ -41,6 +41,7 @@ from gdakit.harness.io import (
     write_table_csv,
     write_trace_csv,
 )
+from gdakit.optimizers import init_state, rsgda_step
 from gdakit.problems import make_scsc_quadratic
 from gdakit.schedules import p_max
 
@@ -569,11 +570,90 @@ def test_cmd_pselect_probe_divergence_is_an_error_not_a_warning(tmp_path):
     # the first step lands where the merit value's matmul overflows
     configs = Path(__file__).resolve().parents[1] / "configs"
     cfg = json.loads((configs / "pselect_ncpl.json").read_text())
-    cfg["probe"].update(alpha=1e300, eta=1e300, p=0.5)
+    cfg["probe"].update(alpha=1e300, eta=1e300, p=0.5, seed=4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DivergenceError, match="diverged at step 1:"):
+        with pytest.raises(DivergenceError, match="diverged at step 1:") as err:
             cmd_pselect(cfg, tmp_path)
+    assert (err.value.seed, err.value.k, err.value.records) == (4, 1, [])
+    # slower growth: V first passes the cap at step 32, and the error
+    # carries the 31 rows logged before it
+    cfg["probe"].update(alpha=3.0, eta=3.0, seed=0)
+    with pytest.raises(DivergenceError, match="diverged at step 32: V=") as err:
+        cmd_pselect(cfg, tmp_path)
+    assert (err.value.seed, err.value.k) == (0, 32)
+    assert [r.k for r in err.value.records] == list(range(1, 32))
+    assert all(r.v <= 1e12 for r in err.value.records)
+    # the first step overflows the iterate itself, which the engine refuses
+    # before any V is logged
+    cfg["probe"].update(alpha=1.7e308, eta=1.7e308)
+    with pytest.raises(DivergenceError, match="step 1: non-finite iterate") as err:
+        cmd_pselect(cfg, tmp_path)
+    assert (err.value.seed, err.value.k, err.value.records) == (0, 1, [])
+
+
+def _ref_probe(problem, init, probe):
+    """The pselect probe as one chain stepped by hand, one point at a time:
+    (V after the first step, the smallest phi over the initial point and
+    every step), with phi solved out of V and F at each point."""
+    inner = {key: val for key, val in probe.items() if key.startswith("inner_")}
+
+    def phi_of(point):
+        v = lyapunov(problem, point, **inner)
+        return v, (v + LYAPUNOV_C * problem.value(point)) / (1.0 + LYAPUNOV_C)
+
+    state = init_state(init, RngStream(probe["seed"], stream_id=0))
+    phi_min = phi_of(state.point)[1]
+    for _ in range(probe["iters"]):
+        state = rsgda_step(problem, state, probe["alpha"], probe["eta"], probe["p"])
+        v, phi = phi_of(state.point)
+        if state.k == 1:
+            v1 = v
+        phi_min = min(phi_min, phi)
+    return v1, phi_min
+
+
+_SMALL_WGAN = {
+    "name": "gaussian_wgan",
+    "params": {"disc_arch": [2, 3, 1], "batch": 5, "quad_nodes": 10},
+}
+_PROBE_CASES = {
+    "ncpl_shipped": {},
+    "robust_regression": {
+        "problem": {"name": "robust_regression",
+                    "params": {"n": 30, "d": 4, "rng_seed": 0, "batch": 10}},
+        "init": None,
+        "probe": {"iters": 40, "seed": 2, "p": 0.5, "alpha": 0.01, "eta": 0.01},
+    },
+    "gaussian_wgan": {
+        "problem": _SMALL_WGAN,
+        "init": None,
+        "probe": {"iters": 12, "seed": 1, "p": 0.5, "alpha": 0.01, "eta": 0.01,
+                  "inner_budget": 40},
+    },
+    "gaussian_wgan_inner_tol": {
+        "problem": _SMALL_WGAN,
+        "init": None,
+        "probe": {"iters": 12, "seed": 1, "p": 0.5, "alpha": 0.01, "eta": 0.01,
+                  "inner_tol": 1e-3, "inner_budget": 150},
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(_PROBE_CASES))
+def test_cmd_pselect_probe_equals_a_hand_stepped_chain_bit_for_bit(tmp_path, case):
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    cfg = json.loads((configs / "pselect_ncpl.json").read_text())
+    cfg.update(_PROBE_CASES[case])
+    cmd_pselect(cfg, tmp_path)
+    written = read_json(tmp_path / "pselect.json")
+    probe = written["probe"]
+    problem = build_problem(cfg["problem"])
+    init = build_init(cfg.get("init"), problem, probe["seed"])
+    v1, phi_min = _ref_probe(problem, init, {**probe, **cfg["probe"]})
+    assert probe["v_after_first_step"].hex() == v1.hex()
+    assert probe["phi_lower_bound"].hex() == phi_min.hex()
+    assert written["delta"].hex() == max(v1 - phi_min, 1e-12).hex()
 
 
 # ---------------------------------------------------------------- check
@@ -706,6 +786,21 @@ _MALFORMED = [
     ("run", {"diag.inner_tol": 0.0}, "diag: DiagConfig: inner_tol"),
     ("run", {"diag.inner_budget": -1}, "diag: DiagConfig: inner_budget"),
     ("compare", {"problem.params.mu_star": [0.5]}, "problem.params.mu_star"),
+    # probe values, which ran (alpha < 0, eta = 0, inner_tol = 0, and
+    # inner_budget < 0 as if it were 0) or exited 1 (p outside (0, 1])
+    ("pselect", {"probe.alpha": -0.1}, "probe.alpha"),
+    ("pselect", {"probe.eta": 0.0}, "probe.eta"),
+    ("pselect", {"probe.p": 0.0}, "probe.p: plan: p must lie in (0, 1], got 0.0"),
+    ("pselect", {"probe.p": 2.0}, "probe.p: plan: p must lie in (0, 1], got 2.0"),
+    ("pselect", {"probe.inner_tol": 0.0}, "probe.inner_tol"),
+    ("pselect", {"probe.inner_budget": -3}, "probe.inner_budget"),
+    # no closed phi: with no ascent step the engine logs no V to read
+    ("pselect", {"problem": _SMALL_WGAN, "init": None, "probe.inner_budget": 0},
+     "probe.inner_budget: must be >= 1"),
+    # the probe block was read and then ignored
+    ("pselect", {"delta": 0.5}, "delta and probe"),
+    # a metric listed twice wrote its columns twice
+    ("compare", {"metrics": ["dist", "dist"]}, "metrics: each metric may be listed once"),
 ]
 
 
