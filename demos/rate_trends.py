@@ -33,7 +33,7 @@ def exact_rate() -> None:
     init = prob.random_point(RngStream(1001, stream_id=0), 2.0)
     res = run(prob, Rsgda(), plan, init, 5_000, RngStream(4, stream_id=0),
               DiagConfig(grad_norms=False, h=True, dist=False))
-    rate = rate_summary(res.records, sigma=0.0)
+    rate = rate_summary(res.trace, sigma=0.0)
     print(f"exact gradients, {res.summary['iters']} steps at p = {p2:.4f}:")
     print(f"  running-min h exponent {rate.exponent:.2f} "
           f"(target <= -0.8), final min h {rate.final_min_h:.2e}\n")

@@ -24,7 +24,7 @@ per-point assertions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -37,7 +37,14 @@ from .core import (
     ParameterError,
     row_dot,
 )
-from .problems import JointPoint, Problem, ProblemConstants, fd_rel_err, require_phi
+from .problems import (
+    JointPoint,
+    Problem,
+    ProblemConstants,
+    fd_rel_err,
+    require_fd_step,
+    require_phi,
+)
 from .schedules import step_constraints
 
 LYAPUNOV_C = 0.1
@@ -48,54 +55,33 @@ class CertificateViolation(GdakitError):
     """A per-point theorem check failed; message carries both sides."""
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One logged optimizer step; optional fields stay None when disabled.
-
-    The field order is the trace CSV's column order, and the fields with a
-    None default are the logged metrics (METRIC_KEYS)."""
-
-    k: int
-    branch: str  # 'x', 'y', or 'both'
-    alpha: float
-    eta: float
-    p: float
-    grad_x_norm: float | None = None
-    grad_y_norm: float | None = None
-    h: float | None = None
-    v: float | None = field(default=None, metadata={"column": "V"})
-    dist: float | None = None
-    loss: float | None = None
-
-
-METRIC_KEYS = tuple(f.name for f in fields(TraceRecord) if f.default is None)
-_FIELDS = tuple(f.name for f in fields(TraceRecord))
+# a trace's columns in order; the last six are the logged metrics, each
+# None in a row where it is off
+TRACE_FIELDS = (
+    "k", "branch", "alpha", "eta", "p",
+    "grad_x_norm", "grad_y_norm", "h", "v", "dist", "loss",
+)
+METRIC_KEYS = TRACE_FIELDS[5:]
 
 
 @dataclass
 class TraceColumns:
-    """A trace held as columns: one list per TraceRecord field, in column
-    order, so row j is TraceRecord(*(col[j] for col in columns)).
+    """A trace: one list per TRACE_FIELDS name, in that order, so row j is
+    (col[j] for col in columns). k is an int, branch is 'x', 'y' or 'both',
+    and the rest are floats or None (p is None for a kind without a coin).
 
-    run_chains extends it one logged block at a time and the trace writer
-    formats it column by column, so that path builds no per-row object;
-    records() builds the TraceRecords for a caller that wants rows."""
+    run_chains extends it one logged block at a time, the trace writer
+    formats it column by column, and read_trace_csv and rate_summary read
+    it as columns, so no path builds a per-row object."""
 
-    columns: list[list] = field(default_factory=lambda: [[] for _ in _FIELDS])
-
-    @classmethod
-    def from_records(cls, records: Sequence[TraceRecord]) -> TraceColumns:
-        return cls([[getattr(r, name) for r in records] for name in _FIELDS])
+    columns: list[list] = field(default_factory=lambda: [[] for _ in TRACE_FIELDS])
 
     def __len__(self) -> int:
         return len(self.columns[0])
 
     def __getitem__(self, name: str) -> list:
-        """The column of the TraceRecord field `name`."""
-        return self.columns[_FIELDS.index(name)]
-
-    def records(self) -> list[TraceRecord]:
-        return list(map(TraceRecord, *self.columns))
+        """The column of the field `name`."""
+        return self.columns[TRACE_FIELDS.index(name)]
 
 
 def inner_ascent(
@@ -253,8 +239,10 @@ class ContractionReport(NamedTuple):
 
 def contraction_alpha_cap(constants: ProblemConstants, p: float) -> float:
     """Upper end 2 p mu / ((1-p) l1^2) of the alpha range the contraction
-    bound is proved on (open interval); infinite at p = 1."""
-    if p >= 1.0:
+    bound is proved on (open interval), for p in (0, 1]; infinite at p = 1."""
+    if not (0 < p <= 1):
+        raise ParameterError(f"contraction_check: p must lie in (0, 1], got {p}", key="p")
+    if p == 1.0:
         return math.inf
     return 2.0 * p * constants.mu / ((1.0 - p) * constants.l1**2)
 
@@ -294,6 +282,22 @@ def _two_branch_ratios(problem: Problem, x: np.ndarray, y: np.ndarray, alpha: fl
     return (p * row_dot(dx, dx) + (1.0 - p) * row_dot(dy, dy)) / base
 
 
+def _contraction_ready(problem: Problem, alpha: float, p: float) -> None:
+    """The domain the contraction bound is proved on, checked in order:
+    a Nash point, p in (0, 1], then alpha in (0, contraction_alpha_cap)."""
+    if problem.nash_point is None:
+        raise CapabilityError(f"{problem.name}: no Nash point exposed")
+    alpha_bound = contraction_alpha_cap(problem.constants, p)
+    if p == 1.0:
+        if not alpha > 0:
+            raise ParameterError("contraction_check: alpha must be > 0", key="alpha")
+    elif not (0 < alpha < alpha_bound):
+        raise ConstraintError(
+            f"contraction_check: alpha={alpha} outside (0, "
+            f"2*p*mu/((1-p)*l1^2) = {alpha_bound})"
+        )
+
+
 def contraction_check(
     problem: Problem, point: JointPoint, alpha: float, p: float
 ) -> ContractionReport:
@@ -310,23 +314,10 @@ def contraction_check(
     check will faithfully report as CertificateViolation. This is the
     one-point use of contraction_sweep's arithmetic.
     """
-    if problem.nash_point is None:
-        raise CapabilityError(f"{problem.name}: no Nash point exposed")
-    if not (0 < p <= 1):
-        raise ParameterError(f"contraction_check: p must lie in (0, 1], got {p}")
-    c = problem.constants
-    if p < 1.0:
-        alpha_bound = contraction_alpha_cap(c, p)
-        if not (0 < alpha < alpha_bound):
-            raise ConstraintError(
-                f"contraction_check: alpha={alpha} outside (0, "
-                f"2*p*mu/((1-p)*l1^2) = {alpha_bound})"
-            )
-    elif alpha <= 0:
-        raise ParameterError("contraction_check: alpha must be > 0")
+    _contraction_ready(problem, alpha, p)
     problem.check_point(point)
     measured = float(_two_branch_ratios(problem, point.x[None], point.y[None], alpha, p)[0])
-    rho = contraction_rho(c, alpha, p)
+    rho = contraction_rho(problem.constants, alpha, p)
     if measured > rho + 1e-12:
         raise CertificateViolation(
             f"contraction_check: measured ratio {measured!r} exceeds "
@@ -354,10 +345,10 @@ def contraction_sweep(problem: Problem, points, alpha: float, p: float) -> Sweep
     """Non-raising bulk version of contraction_check over a sequence of
     JointPoints or an (x (S, m), y (S, n)) pair of stacks; returns the worst
     measured-minus-rho margin (negative means all pass). One batched exact
-    gradient covers every point. A non-finite margin (overflow at huge
-    points) is reported as the worst, so the sweep cannot pass on it."""
-    if problem.nash_point is None:
-        raise CapabilityError(f"{problem.name}: no Nash point exposed")
+    gradient covers every point. It refuses what contraction_check refuses,
+    before any point is read. A non-finite margin (overflow at huge points)
+    is reported as the worst, so the sweep cannot pass on it."""
+    _contraction_ready(problem, alpha, p)
     x, y = _stacks(points)
     with np.errstate(over="ignore", invalid="ignore"):
         margins = _two_branch_ratios(problem, x, y, alpha, p) - contraction_rho(
@@ -454,8 +445,7 @@ def fd_gradient_check(
     Relative error uses denominator max(|g_i|, 1e-8) per coordinate. Pass
     coordinate subsets to keep wide MLP parameter spaces cheap.
     """
-    if h <= 0:
-        raise ParameterError(f"fd_gradient_check: h must be > 0, got {h}")
+    require_fd_step(h, "fd_gradient_check")
     problem.check_point(point)
     cx = range(problem.m) if coords_x is None else coords_x
     cy = range(problem.n) if coords_y is None else coords_y
@@ -470,20 +460,20 @@ class RateSummary:
     meets_rate_target: bool | None  # exponent <= -0.8; only judged at sigma=0
 
 
-def rate_summary(trace: Sequence[TraceRecord], sigma: float | None = None) -> RateSummary:
+def rate_summary(trace: TraceColumns, sigma: float | None = None) -> RateSummary:
     """Decay exponent of the running-min of h against the iteration index.
 
-    Least-squares slope of log(running min h) vs log(k) over logged records
-    with k >= 1 and h present. An exact-gradient run of the randomized
+    Least-squares slope of log(running min h) vs log(k) over the trace's
+    rows with k >= 1 and h present. An exact-gradient run of the randomized
     alternating method should show exponent <= -0.8 (the 1/k envelope with
     fitting headroom); that judgment is only meaningful without gradient
     noise, so meets_rate_target is None unless sigma == 0 is passed.
     """
     ks, hs = [], []
-    for rec in trace:
-        if rec.h is not None and rec.k >= 1:
-            ks.append(rec.k)
-            hs.append(rec.h)
+    for k, h in zip(trace["k"], trace["h"]):
+        if h is not None and k >= 1:
+            ks.append(k)
+            hs.append(h)
     if len(hs) < 10:
         raise InsufficientDataError(
             f"rate_summary: need >= 10 logged h values with k >= 1, got {len(hs)}"

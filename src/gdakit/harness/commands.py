@@ -10,6 +10,7 @@ a seed's outputs do not depend on which other seeds share the command.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
 from inspect import signature
@@ -70,6 +71,18 @@ PSELECT_SCHEMA = _top_level("problem", "alpha", "n_grid", "probe", "delta", "ini
 CHECK_SCHEMA = _top_level("problem", "seed", "oracle", "sweeps")
 
 
+@contextmanager
+def _config_keys(block: str):
+    """Report a ParameterError that names its argument as a ConfigError
+    naming the config key block.<key> (exit 2)."""
+    try:
+        yield
+    except ParameterError as exc:
+        if exc.key is None:
+            raise
+        raise ConfigError(f"{block}.{exc.key}: {exc}") from exc
+
+
 def _aggregate(summaries: list[dict], keys=_AGG_KEYS) -> dict:
     agg: dict = {}
     for key in keys:
@@ -107,7 +120,7 @@ def cmd_run(cfg: dict, out_dir, *, seeds_override: list[int] | None = None) -> d
         )
     except DivergenceError as exc:
         # the partial trace shows how far the diverged seed got
-        write_trace_csv(out_dir / f"trace_seed{exc.seed}.csv", exc.records, config_hash=chash)
+        write_trace_csv(out_dir / f"trace_seed{exc.seed}.csv", exc.trace, config_hash=chash)
         raise
 
     per_seed = {}
@@ -342,11 +355,9 @@ def cmd_pselect(cfg: dict, out_dir) -> dict:
         alpha_probe = probe.get("alpha", alpha)
         eta_probe = probe.get("eta", 1.0 / c.l1)
         inner = {key: val for key, val in probe.items() if key.startswith("inner_")}
-        try:
+        with _config_keys("probe"):
             plan = constant_plan(alpha_probe, eta_probe, p_probe)
             diag = DiagConfig(grad_norms=False, dist=False, v=True, loss=True, **inner)
-        except ParameterError as exc:
-            raise ConfigError(f"probe.{exc.key}: {exc}") from exc
         if diag.inner_budget == 0 and problem.closed_phi_batch is None:
             raise ConfigError("probe.inner_budget: must be >= 1 on a problem without a closed phi")
         init = build_init(cfg.get("init"), problem, probe_seed)
@@ -359,7 +370,7 @@ def cmd_pselect(cfg: dict, out_dir) -> dict:
         try:
             trace, k = probe_run(probe_iters)[0].trace, None
         except DivergenceError as exc:
-            trace, k = TraceColumns.from_records(exc.records), exc.k
+            trace, k = exc.trace, exc.k
         vs = trace["v"]
         bad = (j + 1 for j, v in enumerate(vs) if not math.isfinite(v) or v > DIVERGENCE_CAP)
         k = next(bad, k)
@@ -368,7 +379,9 @@ def cmd_pselect(cfg: dict, out_dir) -> dict:
             raise DivergenceError(
                 f"pselect probe diverged at step {k}: {why} "
                 f"(alpha={alpha_probe}, eta={eta_probe}, p={p_probe})",
-                seed=probe_seed, k=k, records=trace.records()[: k - 1],
+                seed=probe_seed,
+                k=k,
+                trace=TraceColumns([col[: k - 1] for col in trace.columns]),
             )
         phi_min = min(
             (v + LYAPUNOV_C * f) / (1.0 + LYAPUNOV_C)
@@ -421,13 +434,17 @@ def _sweep(problem, rng, scfg, *, points, scale, sweep, what, ok) -> dict:
 
     Fails closed: fewer than one point, or a non-finite margin or residual,
     fails the sweep with an error naming the cause (and the first such
-    point), and no non-finite number is written.
+    point), and no non-finite number is written. The points spread with
+    scale, which must be finite and > 0 (ParameterError, key "scale").
     """
     n_pts = scfg.get("points", points)
     out: dict = {"points": n_pts}
     if n_pts < 1:
         return {**out, "passed": False, "error": f"points must be >= 1, got {n_pts}"}
-    rep = sweep(problem.random_points(rng, n_pts, scfg.get("scale", scale)))
+    scale = scfg.get("scale", scale)
+    if not 0 < scale < math.inf:
+        raise ParameterError(f"sweep: scale must be finite and > 0, got {scale}", key="scale")
+    rep = sweep(problem.random_points(rng, n_pts, scale))
     # a descent sweep reports its smallest residual as the largest -residual
     worst = rep.worst_margin if what == "margin" else -rep.worst_margin
     if not math.isfinite(worst):
@@ -456,7 +473,10 @@ def cmd_check(cfg: dict, out_dir) -> dict:
 
     Always runs the stochastic-oracle consistency checks; optionally sweeps
     the two-branch contraction bound (needs a Nash point) and the one-step
-    merit descent bound (needs closed-form phi) over random points.
+    merit descent bound (needs closed-form phi) over random points. An
+    argument the audit or a sweep refuses is a ConfigError naming its key
+    (oracle.<key>, sweeps.<name>.<key>); a sweep step size outside the
+    window its bound is proved on is a ConstraintError.
     """
     read_block(cfg, "config", CHECK_SCHEMA)
     problem = build_problem(cfg.get("problem"))
@@ -474,7 +494,8 @@ def cmd_check(cfg: dict, out_dir) -> dict:
 
     rng = RngStream(seed, stream_id=5)
     try:
-        orep = check_oracle(problem, ocfg.pop("trials", 2000), rng, **ocfg)
+        with _config_keys("oracle"):
+            orep = check_oracle(problem, ocfg.pop("trials", 2000), rng, **ocfg)
         report["oracle"] = {
             "passed": True,
             "points": orep.points,
@@ -484,7 +505,9 @@ def cmd_check(cfg: dict, out_dir) -> dict:
             "max_fd_rel_err": orep.max_fd_rel_err,
             "fd_threshold": orep.fd_threshold,
         }
-    except GdakitError as exc:
+    except ConfigError:
+        raise
+    except GdakitError as exc:  # a finding of the audit
         report["oracle"] = {"passed": False, "error": str(exc)}
         report["passed"] = False
 
@@ -494,43 +517,45 @@ def cmd_check(cfg: dict, out_dir) -> dict:
             section = {"passed": False, "error": f"{problem.name}: no Nash point exposed"}
         else:
             p = scfg.get("p", 0.5)
-            alpha_cap = contraction_alpha_cap(problem.constants, p)
-            alpha = scfg.get("alpha", min(0.5 * alpha_cap, 1.0))
-            section = {"alpha": alpha, "p": p}
-            section.update(
-                _sweep(
-                    problem,
-                    RngStream(seed, stream_id=6),
-                    scfg,
-                    points=50,
-                    scale=2.0,
-                    sweep=lambda pts: diagnostics.contraction_sweep(problem, pts, alpha, p),
-                    what="margin",
-                    ok=lambda worst: worst <= 1e-12,
+            with _config_keys("sweeps.contraction"):
+                alpha_cap = contraction_alpha_cap(problem.constants, p)
+                alpha = scfg.get("alpha", min(0.5 * alpha_cap, 1.0))
+                section = {"alpha": alpha, "p": p}
+                section.update(
+                    _sweep(
+                        problem,
+                        RngStream(seed, stream_id=6),
+                        scfg,
+                        points=50,
+                        scale=2.0,
+                        sweep=lambda pts: diagnostics.contraction_sweep(problem, pts, alpha, p),
+                        what="margin",
+                        ok=lambda worst: worst <= 1e-12,
+                    )
                 )
-            )
         report["contraction"] = section
         report["passed"] = report["passed"] and section["passed"]
 
     if "descent" in sweeps:
         scfg = sweeps["descent"]
         p = scfg.get("p", p_max(problem.constants))
-        sc = step_constraints(problem.constants, p)
-        alpha = scfg.get("alpha", 0.5 * sc.alpha_max)
-        eta = scfg.get("eta", sc.eta_hi)
-        section = {"alpha": alpha, "eta": eta, "p": p}
-        section.update(
-            _sweep(
-                problem,
-                RngStream(seed, stream_id=7),
-                scfg,
-                points=100,
-                scale=1.0,
-                sweep=lambda pts: diagnostics.descent_sweep(problem, pts, alpha, eta, p),
-                what="residual",
-                ok=lambda worst: worst >= -1e-10,
+        with _config_keys("sweeps.descent"):
+            sc = step_constraints(problem.constants, p)
+            alpha = scfg.get("alpha", 0.5 * sc.alpha_max)
+            eta = scfg.get("eta", sc.eta_hi)
+            section = {"alpha": alpha, "eta": eta, "p": p}
+            section.update(
+                _sweep(
+                    problem,
+                    RngStream(seed, stream_id=7),
+                    scfg,
+                    points=100,
+                    scale=1.0,
+                    sweep=lambda pts: diagnostics.descent_sweep(problem, pts, alpha, eta, p),
+                    what="residual",
+                    ok=lambda worst: worst >= -1e-10,
+                )
             )
-        )
         report["descent"] = section
         report["passed"] = report["passed"] and section["passed"]
 

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from gdakit.core import GdakitError
-from gdakit.diagnostics import TraceColumns, TraceRecord
+from gdakit.diagnostics import TRACE_FIELDS, TraceColumns
 
-TRACE_COLUMNS = tuple(f.metadata.get("column", f.name) for f in fields(TraceRecord))
+# the trace file's header: the trace's field names, the merit value as V
+TRACE_COLUMNS = tuple("V" if name == "v" else name for name in TRACE_FIELDS)
 
 # csv.writer writes cells of these exact types as the formats here do: a
 # str as is, an int through str, a float through repr and None as empty
@@ -26,7 +26,7 @@ _NATIVE = frozenset((str, int, float, type(None)))
 
 
 class TraceFormatError(GdakitError):
-    """Trace file does not parse back into records."""
+    """Trace file does not parse back into a trace."""
 
 
 def _parse(cell: str):
@@ -47,17 +47,14 @@ def _plan_cells(col) -> list[str]:
     return cells
 
 
-def write_trace_csv(path, trace: TraceColumns | list[TraceRecord], config_hash: str | None = None):
-    """One row per logged step of trace, a TraceColumns or a list of
-    TraceRecords (turned into columns first).
+def write_trace_csv(path, trace: TraceColumns, config_hash: str | None = None):
+    """One row per logged step of trace.
 
     Each column is formatted once: k through str, branch as it is, a float
     column through repr(float(v)), so an int step size is written 1.0 as
     read back, and None as an empty cell. No cell of this schema needs
     quoting, so the rows joined with "," and ended with "\r\n" are the
     bytes csv.writer writes for the same cells."""
-    if not isinstance(trace, TraceColumns):
-        trace = TraceColumns.from_records(trace)
     k, branch, alpha, eta, p, *metrics = trace.columns
     cells = [
         list(map(str, k)),
@@ -71,10 +68,13 @@ def write_trace_csv(path, trace: TraceColumns | list[TraceRecord], config_hash: 
         fh.write("\r\n".join([",".join(TRACE_COLUMNS), *map(",".join, zip(*cells)), ""]))
 
 
-def read_trace_csv(path) -> tuple[list[TraceRecord], str | None]:
+def read_trace_csv(path) -> tuple[TraceColumns, str | None]:
+    """The trace write_trace_csv wrote to path, with its config hash (None
+    if the file has none); k reads back as an int and an empty cell as
+    None."""
     path = Path(path)
     cfg_hash = None
-    records: list[TraceRecord] = []
+    trace = TraceColumns()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = []
         for line in fh:
@@ -90,10 +90,12 @@ def read_trace_csv(path) -> tuple[list[TraceRecord], str | None]:
         if len(row) != len(TRACE_COLUMNS):
             raise TraceFormatError(f"{path}: row has {len(row)} cells: {row}")
         try:
-            records.append(TraceRecord(int(row[0]), row[1], *map(_parse, row[2:])))
+            cells = (int(row[0]), row[1], *map(_parse, row[2:]))
         except ValueError as exc:
             raise TraceFormatError(f"{path}: bad cell in row {row}: {exc}") from exc
-    return records, cfg_hash
+        for col, cell in zip(trace.columns, cells):
+            col.append(cell)
+    return trace, cfg_hash
 
 
 def write_params(path, arr: np.ndarray, config_hash: str | None = None) -> None:

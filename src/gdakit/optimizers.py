@@ -22,14 +22,12 @@ only for the gradient block it applies (need="x" for a descent step, "y"
 for an ascent step); an rsgda step whose chains' coins disagree is the one
 that asks for both.
 
-A run's logged rows stay columns (diagnostics.TraceColumns) from the stacked
-metric pass to the trace writer; RunResult.records builds the TraceRecords
-on first access.
+A run's logged rows are columns (diagnostics.TraceColumns) from the stacked
+metric pass to the trace writer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
@@ -39,7 +37,6 @@ from .diagnostics import (
     LYAPUNOV_C,
     METRIC_KEYS,
     TraceColumns,
-    TraceRecord,
     h_rows,
     inner_ascent,
     merit_rows,
@@ -299,17 +296,12 @@ class DiagConfig:
 @dataclass(frozen=True)
 class RunResult:
     """One chain's run: its logged rows as columns (trace), its final
-    iterate, summary and provenance. records holds the same rows as
-    TraceRecords, built from trace on first access and then cached."""
+    iterate, summary and provenance."""
 
     trace: TraceColumns
     final: JointPoint
     summary: dict
     provenance: dict = field(default_factory=dict)
-
-    @cached_property
-    def records(self) -> list[TraceRecord]:
-        return self.trace.records()
 
 
 # logged rows per stacked metric pass in run_chains: bounds the buffered
@@ -418,7 +410,7 @@ def run_chains(
     changed, and numpy overflow warnings are off (a metric that overflows
     is logged as inf). A step that leaves any chain's iterate non-finite
     raises DivergenceError naming the lowest such seed, the step k, its
-    branch and plan values, and carrying the records that seed logged
+    branch and plan values, and carrying the trace that seed logged
     before k.
     """
     if iters < 0:
@@ -468,7 +460,7 @@ def run_chains(
                     f"p={p}): non-finite iterate",
                     seed=seed,
                     k=k + 1,
-                    records=traces[i].records(),
+                    trace=traces[i],
                 )
             x_steps += out.x_steps
             y_steps += out.y_steps

@@ -6,6 +6,7 @@ from .base import (
     ProblemConstants,
     check_oracle,
     fd_rel_err,
+    require_fd_step,
     require_phi,
 )
 from .quadratic import (
@@ -27,6 +28,7 @@ __all__ = [
     "ProblemConstants",
     "check_oracle",
     "fd_rel_err",
+    "require_fd_step",
     "require_phi",
     "make_bilinear",
     "make_ncpl_quadratic",

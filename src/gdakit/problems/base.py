@@ -271,6 +271,12 @@ class OracleReport:
     details: dict = field(default_factory=dict)
 
 
+def require_fd_step(h: float, who: str, key: str = "h") -> None:
+    """A central-difference step must be > 0 (NaN is refused too)."""
+    if not h > 0:
+        raise ParameterError(f"{who}: {key} must be > 0, got {h}", key=key)
+
+
 def fd_rel_err(
     problem: Problem,
     point: JointPoint,
@@ -341,14 +347,22 @@ def check_oracle(
     summed in draw order, so every reported number is the one a loop over
     single draws gives.
 
-    trials is the total draw budget, split evenly across points (pre:
-    trials >= 100). fd_coords, when set, limits (c) to a random coordinate
-    subset per side, which keeps wide parameter spaces inside a time budget.
+    trials is the total draw budget, split evenly across points. fd_coords,
+    when set, limits (c) to a random coordinate subset per side, which keeps
+    wide parameter spaces inside a time budget. Every argument is checked
+    once, here; a refused one raises ParameterError naming it (key).
     """
-    if trials < 100:
-        raise ParameterError(f"check_oracle: trials must be >= 100, got {trials}")
-    if points < 1:
-        raise ParameterError("check_oracle: points must be >= 1")
+    for key, got, ok, want in (
+        ("trials", trials, trials >= 100, ">= 100"),
+        ("points", points, points >= 1, ">= 1"),
+        ("point_scale", point_scale, 0 <= point_scale < math.inf, "finite and >= 0"),
+        ("fd_threshold", fd_threshold, fd_threshold is None or fd_threshold > 0, "> 0"),
+        ("fd_coords", fd_coords, fd_coords is None or fd_coords >= 1, ">= 1"),
+        ("noise_slack", noise_slack, noise_slack >= 0, ">= 0"),
+    ):
+        if not ok:
+            raise ParameterError(f"check_oracle: {key} must be {want}, got {got}", key=key)
+    require_fd_step(fd_step, "check_oracle", "fd_step")
     per_point = max(trials // points, 1)
     if fd_threshold is None:
         fd_threshold = 1e-5 if problem.metadata.get("mlp_backed") else 1e-6

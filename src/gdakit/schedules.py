@@ -68,7 +68,7 @@ def p_max(constants: ProblemConstants) -> float:
 
 def step_constraints(constants: ProblemConstants, p: float) -> StepConstraints:
     if not (0 < p <= 1):
-        raise ParameterError(f"step_constraints: p must lie in (0, 1], got {p}")
+        raise ParameterError(f"step_constraints: p must lie in (0, 1], got {p}", key="p")
     return StepConstraints(
         alpha_max=1.0 / (2.0 * constants.l2),
         eta_hi=1.0 / constants.l1,

@@ -148,7 +148,7 @@ def test_exact_randomized_run_beats_inverse_k_envelope():
         RngStream(4, stream_id=0),
         DiagConfig(grad_norms=False, h=True, dist=False),
     )
-    rate = rate_summary(res.records, sigma=0.0)
+    rate = rate_summary(res.trace, sigma=0.0)
     assert rate.exponent <= -0.8
     assert rate.meets_rate_target is True
     print(f"exact rate PASS: running-min h exponent {rate.exponent:.3f} <= -0.8 "

@@ -9,9 +9,16 @@ import numpy as np
 import pytest
 
 import gdakit.problems.base as base
-from gdakit.core import CapabilityError, OracleViolation, ParameterError, RngStream
+from gdakit.core import (
+    CapabilityError,
+    ConstraintError,
+    OracleViolation,
+    ParameterError,
+    RngStream,
+)
 from gdakit.diagnostics import (
     LYAPUNOV_C,
+    contraction_alpha_cap,
     contraction_check,
     contraction_rho,
     contraction_sweep,
@@ -405,6 +412,42 @@ def test_sweeps_refuse_problems_without_the_certificate_they_need():
     bil = make_bilinear(1, 1)  # no closed phi
     with pytest.raises(CapabilityError, match="closed-form inner maximum"):
         descent_sweep(bil, [bil.random_point(RngStream(1))], 0.1, 0.5, 0.05)
+
+
+def test_contraction_sweep_refuses_what_contraction_check_refuses():
+    # the sweep used to check only the Nash point: at p = 0 it passed with
+    # margin 0, and at alpha = 50 (rho = 2401) with margin -1000
+    prob = make_scsc_quadratic(1.0, 0.4 * np.eye(2), 2, 2, sigma=0.3)
+    cap = contraction_alpha_cap(prob.constants, 0.5)
+    no_nash = random_ncpl_instance(0)
+    cases = [
+        # (problem, alpha, p, the error both raise, or None)
+        (prob, 0.5 * cap, 0.5, None),
+        (no_nash, 0.01, 0.5, CapabilityError),
+        (no_nash, 50.0, 0.0, CapabilityError),  # the Nash point is checked first
+        (prob, 0.1, 0.0, ParameterError),
+        (prob, 0.1, -0.5, ParameterError),
+        (prob, 0.1, 1.5, ParameterError),
+        (prob, 0.1, math.nan, ParameterError),
+        (prob, 50.0, 0.0, ParameterError),  # then p, then alpha
+        (prob, 0.0, 1.0, ParameterError),
+        (prob, 50.0, 0.5, ConstraintError),
+        (prob, cap, 0.5, ConstraintError),
+        (prob, 0.0, 0.5, ConstraintError),
+        (prob, -0.1, 0.5, ConstraintError),
+        (prob, math.nan, 0.5, ConstraintError),
+    ]
+    for problem, alpha, p, error in cases:
+        pt = JointPoint(np.ones(problem.m), np.ones(problem.n))
+        if error is None:
+            contraction_check(problem, pt, alpha, p)
+            contraction_sweep(problem, [pt], alpha, p)
+            continue
+        with pytest.raises(error) as by_check:
+            contraction_check(problem, pt, alpha, p)
+        with pytest.raises(error) as by_sweep:
+            contraction_sweep(problem, [pt], alpha, p)
+        assert str(by_sweep.value) == str(by_check.value), (alpha, p)
 
 
 def test_sweeps_reject_empty_point_sets():

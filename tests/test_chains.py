@@ -53,7 +53,7 @@ def test_chain_outputs_do_not_depend_on_companion_chains(problem_name, kind_name
     for seed, init, res in zip(seeds, inits, batch):
         alone = run(prob, kind, plan, init, 25, RngStream(seed, 0), diag,
                     waive_constraints=True)
-        assert res.records == alone.records
+        assert res.trace == alone.trace
         assert np.array_equal(res.final.x, alone.final.x)
         assert np.array_equal(res.final.y, alone.final.y)
         assert res.summary == alone.summary

@@ -11,7 +11,8 @@ from gdakit.core import (
 )
 from gdakit.diagnostics import (
     CertificateViolation,
-    TraceRecord,
+    TRACE_FIELDS,
+    TraceColumns,
     contraction_check,
     contraction_sweep,
     descent_check,
@@ -247,10 +248,11 @@ def test_inner_ascent_refuses_a_tolerance_that_is_not_positive():
 
 
 def _trace(hs):
-    return [
-        TraceRecord(k=k, branch="x", alpha=0.1, eta=0.1, p=0.5, h=h)
-        for k, h in enumerate(hs, start=1)
-    ]
+    """x-step rows at k = 1, 2, ... logging h alone."""
+    n = len(hs)
+    given = {"k": range(1, n + 1), "branch": ["x"] * n, "alpha": [0.1] * n,
+             "eta": [0.1] * n, "p": [0.5] * n, "h": hs}
+    return TraceColumns([list(given.get(name, [None] * n)) for name in TRACE_FIELDS])
 
 
 def test_rate_summary_constant_trace():
@@ -273,7 +275,7 @@ def test_rate_summary_needs_ten_points():
 
 
 def test_rate_summary_ignores_records_without_h():
-    recs = _trace([1.0] * 12)
-    recs += [TraceRecord(k=99, branch="x", alpha=0.1, eta=0.1, p=0.5, h=None)]
-    rs = rate_summary(recs)
+    trace = _trace([1.0] * 12 + [None])
+    trace["k"][-1] = 99
+    rs = rate_summary(trace)
     assert rs.n_points == 12

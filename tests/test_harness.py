@@ -15,7 +15,7 @@ import pytest
 
 import gdakit
 from gdakit.core import ConstraintError, DivergenceError, RngStream
-from gdakit.diagnostics import LYAPUNOV_C, TraceRecord, lyapunov
+from gdakit.diagnostics import LYAPUNOV_C, TraceColumns, lyapunov
 from gdakit.harness.cli import main
 from gdakit.harness.commands import cmd_check, cmd_compare, cmd_pselect, cmd_run
 from gdakit.harness.config import (
@@ -241,37 +241,36 @@ def test_load_config_errors(tmp_path):
 
 # ---------------------------------------------------------------- io
 
-def _sample_records():
-    return [
-        TraceRecord(k=1, branch="x", alpha=0.1, eta=0.2, p=0.25,
-                    grad_x_norm=1.5, grad_y_norm=None, h=0.125, v=None,
-                    dist=2.0 ** 0.5, loss=-0.3),
-        TraceRecord(k=2, branch="both", alpha=0.1, eta=0.2, p=None,
-                    grad_x_norm=None, grad_y_norm=None, h=None, v=None,
-                    dist=None, loss=None),
+def _sample_trace():
+    # two rows in column order: k, branch, alpha, eta, p, grad_x_norm,
+    # grad_y_norm, h, v, dist, loss
+    rows = [
+        (1, "x", 0.1, 0.2, 0.25, 1.5, None, 0.125, None, 2.0 ** 0.5, -0.3),
+        (2, "both", 0.1, 0.2, None, None, None, None, None, None, None),
     ]
+    return TraceColumns([list(col) for col in zip(*rows)])
 
 
 def test_trace_csv_round_trip_exact(tmp_path):
     path = tmp_path / "trace.csv"
-    recs = _sample_records()
-    write_trace_csv(path, recs, config_hash="abc123")
+    trace = _sample_trace()
+    write_trace_csv(path, trace, config_hash="abc123")
     back, chash = read_trace_csv(path)
-    assert back == recs
+    assert back == trace
     assert chash == "abc123"
     lines = path.read_text().splitlines()
     assert lines[0] == "# config_hash=abc123"
     assert lines[1].startswith("k,branch,alpha")
-    assert len(lines) == 2 + len(recs)
+    assert len(lines) == 2 + len(trace)
 
 
 def test_trace_csv_writes_int_step_sizes_as_floats(tmp_path):
     path = tmp_path / "trace.csv"
-    recs = [TraceRecord(k=1, branch="x", alpha=1, eta=1, p=1, dist=0)]
-    write_trace_csv(path, recs)
+    trace = TraceColumns([[1], ["x"], [1], [1], [1], [None], [None], [None], [None], [0], [None]])
+    write_trace_csv(path, trace)
     assert path.read_text().splitlines()[1] == "1,x,1.0,1.0,1.0,,,,,0.0,"
     back, _ = read_trace_csv(path)
-    assert back == recs and type(back[0].alpha) is float
+    assert back == trace and type(back["alpha"][0]) is float
 
 
 def test_trace_csv_rejects_wrong_header(tmp_path):
@@ -309,31 +308,18 @@ def test_cmd_run_writes_traces_finals_and_summary(tmp_path):
     assert summary["command"] == "run"
     assert summary["seeds"] == [0, 1]
     for seed in (0, 1):
-        recs, chash = read_trace_csv(out / f"trace_seed{seed}.csv")
-        assert len(recs) == 10
-        assert [r.k for r in recs] == list(range(1, 11))
+        trace, chash = read_trace_csv(out / f"trace_seed{seed}.csv")
+        assert len(trace) == 10
+        assert trace["k"] == list(range(1, 11))
         assert chash == config_hash(cfg)
         x = read_params(out / f"final_x_seed{seed}.csv")
         assert x.shape == (1,)
         per = summary["per_seed"][str(seed)]
         assert per["iters"] == 10 and per["grad_evals"] == 20
-        assert per["final_dist"] == recs[-1].dist
+        assert per["final_dist"] == trace["dist"][-1]
     disk = read_json(out / "summary.json")
     assert disk == summary
     assert "final_dist_mean" in summary["aggregate"]
-
-
-def test_cmd_run_builds_no_trace_record(tmp_path, monkeypatch):
-    # the trace goes from the stacked metric pass to the file as columns
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a TraceRecord was built")
-
-    monkeypatch.setattr(TraceRecord, "__init__", refuse)
-    cmd_run(_run_cfg(diag={"h": True, "v": True, "loss": True}), tmp_path)
-    monkeypatch.undo()
-    recs, _ = read_trace_csv(tmp_path / "trace_seed1.csv")
-    assert [r.k for r in recs] == list(range(1, 11))
-    assert all(r.h is not None and r.loss is not None for r in recs)
 
 
 def test_cmd_run_reruns_byte_identically(tmp_path):
@@ -349,9 +335,9 @@ def test_cmd_run_seeds_differ(tmp_path):
     cfg = _run_cfg()
     out = tmp_path / "out"
     cmd_run(cfg, out)
-    r0, _ = read_trace_csv(out / "trace_seed0.csv")
-    r1, _ = read_trace_csv(out / "trace_seed1.csv")
-    assert r0[-1].dist != r1[-1].dist
+    t0, _ = read_trace_csv(out / "trace_seed0.csv")
+    t1, _ = read_trace_csv(out / "trace_seed1.csv")
+    assert t0["dist"][-1] != t1["dist"][-1]
 
 
 def test_cmd_run_enforces_rsgda_feasibility(tmp_path):
@@ -575,21 +561,21 @@ def test_cmd_pselect_probe_divergence_is_an_error_not_a_warning(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError, match="diverged at step 1:") as err:
             cmd_pselect(cfg, tmp_path)
-    assert (err.value.seed, err.value.k, err.value.records) == (4, 1, [])
+    assert (err.value.seed, err.value.k, len(err.value.trace)) == (4, 1, 0)
     # slower growth: V first passes the cap at step 32, and the error
     # carries the 31 rows logged before it
     cfg["probe"].update(alpha=3.0, eta=3.0, seed=0)
     with pytest.raises(DivergenceError, match="diverged at step 32: V=") as err:
         cmd_pselect(cfg, tmp_path)
     assert (err.value.seed, err.value.k) == (0, 32)
-    assert [r.k for r in err.value.records] == list(range(1, 32))
-    assert all(r.v <= 1e12 for r in err.value.records)
+    assert err.value.trace["k"] == list(range(1, 32))
+    assert all(v <= 1e12 for v in err.value.trace["v"])
     # the first step overflows the iterate itself, which the engine refuses
     # before any V is logged
     cfg["probe"].update(alpha=1.7e308, eta=1.7e308)
     with pytest.raises(DivergenceError, match="step 1: non-finite iterate") as err:
         cmd_pselect(cfg, tmp_path)
-    assert (err.value.seed, err.value.k, err.value.records) == (0, 1, [])
+    assert (err.value.seed, err.value.k, len(err.value.trace)) == (0, 1, 0)
 
 
 def _ref_probe(problem, init, probe):
@@ -801,6 +787,21 @@ _MALFORMED = [
     ("pselect", {"delta": 0.5}, "delta and probe"),
     # a metric listed twice wrote its columns twice
     ("compare", {"metrics": ["dist", "dist"]}, "metrics: each metric may be listed once"),
+    # check's own arguments, which skipped the finite-difference check
+    # (fd_coords 0), ended in a traceback (fd_coords -1), failed on NaN
+    # (fd_step 0), passed (contraction p 0) or exited 1 naming no key
+    ("check", {"oracle.fd_coords": 0}, "oracle.fd_coords: check_oracle: fd_coords must be >= 1, got 0"),
+    ("check", {"oracle.fd_coords": -1}, "oracle.fd_coords: check_oracle: fd_coords must be >= 1, got -1"),
+    ("check", {"oracle.fd_step": 0.0}, "oracle.fd_step: check_oracle: fd_step must be > 0"),
+    ("check", {"oracle.trials": 50}, "oracle.trials: check_oracle: trials must be >= 100"),
+    ("check", {"oracle.points": 0}, "oracle.points: check_oracle: points must be >= 1"),
+    ("check", {"oracle.point_scale": -1.0}, "oracle.point_scale: check_oracle: point_scale must be"),
+    ("check", {"sweeps.contraction.scale": -1.0}, "sweeps.contraction.scale: sweep: scale must be"),
+    # every point at the origin, the Nash point: exit 1 naming no key
+    ("check", {"sweeps.contraction.scale": 0.0}, "sweeps.contraction.scale: sweep: scale must be finite and > 0, got 0.0"),
+    ("check", {"sweeps.descent.p": 1.5}, "sweeps.descent.p: step_constraints: p must lie in (0, 1]"),
+    ("check", {"sweeps.contraction.p": 0.0}, "sweeps.contraction.p: contraction_check: p must lie in (0, 1], got 0.0"),
+    ("check", {"sweeps.contraction.p": 1.5}, "sweeps.contraction.p: contraction_check: p must lie in (0, 1], got 1.5"),
 ]
 
 
@@ -856,6 +857,19 @@ def test_cli_exit_three_on_constraint_violation(tmp_path, capsys):
                  "--waive-constraints"]) == 0
 
 
+@pytest.mark.parametrize("alpha", [50.0, 0.0])
+def test_cli_check_exit_three_on_contraction_alpha_outside_its_window(tmp_path, capsys, alpha):
+    # at p = 1/2 the bound is proved for alpha in (0, 1.02) on this problem;
+    # alpha = 50 (rho = 2401) and alpha = 0 (rho = 1) used to pass
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    cfg = json.loads((configs / "check_scsc.json").read_text())
+    cfg["sweeps"]["contraction"]["alpha"] = alpha
+    path = _write_cfg(tmp_path, cfg)
+    assert main(["check", path, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "constraint violation" in err and f"alpha={alpha} outside (0, " in err
+
+
 def test_cli_exit_one_on_runtime_failure(tmp_path):
     # merit-based probe needs an inner maximum; the pure coupling problem
     # has none, which surfaces as a runtime failure, not a config error
@@ -885,8 +899,8 @@ def test_cli_divergence_names_seed_and_step_and_writes_partial_trace(tmp_path, c
     err = capsys.readouterr().err
     assert "seed 3 diverged at step k=91" in err
     assert "alpha=50.0, eta=50.0" in err
-    recs, chash = read_trace_csv(out / "trace_seed3.csv")
-    assert [r.k for r in recs] == list(range(10, 91, 10))
+    trace, chash = read_trace_csv(out / "trace_seed3.csv")
+    assert trace["k"] == list(range(10, 91, 10))
     assert chash == config_hash(cfg)
 
 

@@ -257,7 +257,7 @@ def test_run_logs_one_record_per_step_at_interval_one():
     prob = make_scsc_quadratic(1.0, None, 1, 1)
     res = run(prob, Sgda(), constant_plan(0.1, 0.1), JointPoint([2.0], [1.0]),
               iters=10, rng=RngStream(0, 0))
-    assert [r.k for r in res.records] == list(range(1, 11))
+    assert res.trace["k"] == list(range(1, 11))
     assert res.summary["iters"] == 10
     assert res.summary["grad_evals"] == 20
 
@@ -266,7 +266,7 @@ def test_run_interval_logging_keeps_final_row():
     prob = make_scsc_quadratic(1.0, None, 1, 1)
     res = run(prob, Sgda(), constant_plan(0.1, 0.1), JointPoint([2.0], [1.0]),
               iters=10, rng=RngStream(0, 0), diag=DiagConfig(interval=3))
-    assert [r.k for r in res.records] == [3, 6, 9, 10]
+    assert res.trace["k"] == [3, 6, 9, 10]
 
 
 def test_run_zero_iters_gives_empty_trace_and_init_metrics():
@@ -274,7 +274,7 @@ def test_run_zero_iters_gives_empty_trace_and_init_metrics():
     init = JointPoint([2.0], [1.0])
     res = run(prob, Sgda(), constant_plan(0.1, 0.1), init, iters=0,
               rng=RngStream(0, 0))
-    assert res.records == []
+    assert len(res.trace) == 0
     assert res.summary["iters"] == 0 and res.summary["grad_evals"] == 0
     assert np.array_equal(res.final.x, init.x)
     assert res.summary["final_dist"] == pytest.approx(np.sqrt(5.0))
@@ -290,7 +290,7 @@ def test_run_is_bit_identical_for_fixed_seed():
     r2 = run(prob, Sgda(), constant_plan(0.05, 0.05), init, rng=RngStream(42, 0), **kw)
     assert np.array_equal(r1.final.x, r2.final.x)
     assert np.array_equal(r1.final.y, r2.final.y)
-    assert r1.records == r2.records
+    assert r1.trace == r2.trace
     assert r1.summary == r2.summary
 
 
@@ -299,11 +299,11 @@ def test_run_summary_recomputable_from_trace():
     diag = DiagConfig(interval=2, h=True, v=True, loss=True)
     res = run(prob, Sgda(), constant_plan(0.1, 0.1), JointPoint([2.0], [1.0]),
               iters=20, rng=RngStream(1, 0), diag=diag)
-    last = res.records[-1]
+    t = res.trace
     s = res.summary
-    assert s["final_h"] == last.h and s["final_v"] == last.v
-    assert s["final_dist"] == last.dist and s["final_loss"] == last.loss
-    assert s["min_h"] == min(r.h for r in res.records)
+    assert s["final_h"] == t["h"][-1] and s["final_v"] == t["v"][-1]
+    assert s["final_dist"] == t["dist"][-1] and s["final_loss"] == t["loss"][-1]
+    assert s["min_h"] == min(t["h"])
     assert s["min_h"] <= s["final_h"]
 
 
@@ -349,19 +349,19 @@ def test_run_records_plan_p_only_for_randomized_kind():
     init = JointPoint([2.0], [1.0])
     r_rand = run(prob, Rsgda(), constant_plan(0.01, 0.3, 0.1), init, iters=3,
                  rng=RngStream(0, 0))
-    assert all(r.p == 0.1 for r in r_rand.records)
-    assert all(r.branch in ("x", "y") for r in r_rand.records)
+    assert all(p == 0.1 for p in r_rand.trace["p"])
+    assert all(b in ("x", "y") for b in r_rand.trace["branch"])
     r_two = run(prob, Sgda(), constant_plan(0.01, 0.3), init, iters=3,
                 rng=RngStream(0, 0))
-    assert all(r.p is None for r in r_two.records)
-    assert all(r.branch == "both" for r in r_two.records)
+    assert all(p is None for p in r_two.trace["p"])
+    assert all(b == "both" for b in r_two.trace["branch"])
 
 
 def test_run_h_logging_skipped_without_inner_concavity():
     prob = make_bilinear(1, 1)
     res = run(prob, Sgda(), constant_plan(0.1, 0.1), JointPoint([1.0], [1.0]),
               iters=5, rng=RngStream(0, 0), diag=DiagConfig(h=True, v=True))
-    assert all(r.h is None and r.v is None for r in res.records)
+    assert all(v is None for v in res.trace["h"] + res.trace["v"])
     assert res.summary["min_h"] is None
 
 

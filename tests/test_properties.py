@@ -4,13 +4,12 @@ import csv
 import io
 import math
 import tempfile
-from dataclasses import astuple
 from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gdakit.diagnostics import TraceColumns, TraceRecord
+from gdakit.diagnostics import TRACE_FIELDS, TraceColumns
 from gdakit.harness.config import config_hash
 from gdakit.harness.io import TRACE_COLUMNS, read_trace_csv, write_trace_csv
 from gdakit.problems import ProblemConstants
@@ -61,38 +60,37 @@ def test_config_hash_ignores_key_order(cfg):
     assert config_hash(_reorder(cfg)) == config_hash(cfg)
 
 
-_float = st.floats(allow_nan=False)
-_opt = st.none() | _float
-_record = st.builds(
-    TraceRecord,
-    k=st.integers(0, 10**9),
-    branch=st.sampled_from(["x", "y", "both"]),
-    alpha=_float,
-    eta=_float,
-    p=_float,
-    grad_x_norm=_opt,
-    grad_y_norm=_opt,
-    h=_opt,
-    v=_opt,
-    dist=_opt,
-    loss=_opt,
-)
+def _row(step, metric):
+    """A trace row in TRACE_FIELDS order: k, branch, the three plan values
+    drawn from step and the six metrics from metric."""
+    return st.tuples(
+        st.integers(0, 10**9),
+        st.sampled_from(["x", "y", "both"]),
+        *[step] * 3,
+        *[metric] * (len(TRACE_FIELDS) - 5),
+    )
 
+
+def _columns(rows) -> TraceColumns:
+    return TraceColumns([[row[j] for row in rows] for j in range(len(TRACE_FIELDS))])
+
+
+_float = st.floats(allow_nan=False)
+_record = _row(_float, st.none() | _float)
 
 _chash = st.none() | st.text("0123456789abcdef", min_size=64, max_size=64)
 
 
 @settings(max_examples=100, deadline=None)
-@given(records=st.lists(_record, max_size=8), chash=_chash, columns=st.booleans())
-def test_trace_csv_round_trips(records, chash, columns):
-    trace = TraceColumns.from_records(records) if columns else records
+@given(rows=st.lists(_record, max_size=8), chash=_chash)
+def test_trace_csv_round_trips(rows, chash):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
-        write_trace_csv(path, trace, config_hash=chash)
-        assert read_trace_csv(path) == (records, chash)
+        write_trace_csv(path, _columns(rows), config_hash=chash)
+        assert read_trace_csv(path) == (_columns(rows), chash)
 
 
-def _csv_writer_bytes(records, chash) -> bytes:
+def _csv_writer_bytes(rows, chash) -> bytes:
     """The trace file as csv.writer writes it, from rows of k, branch and
     each float field made a float (None stays None)."""
     buf = io.StringIO(newline="")
@@ -100,8 +98,7 @@ def _csv_writer_bytes(records, chash) -> bytes:
         buf.write(f"# config_hash={chash}\n")
     wr = csv.writer(buf)
     wr.writerow(TRACE_COLUMNS)
-    for r in records:
-        k, branch, *floats = astuple(r)
+    for k, branch, *floats in rows:
         wr.writerow([k, branch, *(v if v is None else float(v) for v in floats)])
     return buf.getvalue().encode()
 
@@ -111,35 +108,21 @@ _edge = st.sampled_from(
 )
 _any = _edge | st.floats()
 _step = _edge | st.integers(-3, 3) | st.floats()
-_wild = st.builds(
-    TraceRecord,
-    k=st.integers(0, 10**9),
-    branch=st.sampled_from(["x", "y", "both"]),
-    alpha=_step,
-    eta=_step,
-    p=_step,
-    grad_x_norm=_any,
-    grad_y_norm=_any,
-    h=_any,
-    v=_any,
-    dist=_any,
-    loss=_any,
-)
+_wild = _row(_step, _any)
 
 
 @settings(max_examples=50, deadline=None)
-@given(records=st.lists(_wild, max_size=6), chash=_chash)
-@example(records=[], chash=None)
+@given(rows=st.lists(_wild, max_size=6), chash=_chash)
+@example(rows=[], chash=None)
 @example(
-    records=[
-        TraceRecord(0, "both", 1, -0.0, None, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e-5),
-        TraceRecord(7, "x", 0.1, 2, 0.0, None, None, -0.0, None, -2.2e-308, None),
+    rows=[
+        (0, "both", 1, -0.0, None, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e-5),
+        (7, "x", 0.1, 2, 0.0, None, None, -0.0, None, -2.2e-308, None),
     ],
     chash="0" * 64,
 )
-def test_trace_csv_bytes_are_csv_writers(records, chash):
+def test_trace_csv_bytes_are_csv_writers(rows, chash):
     with tempfile.TemporaryDirectory() as tmp:
-        rows, cols = Path(tmp) / "rows.csv", Path(tmp) / "cols.csv"
-        write_trace_csv(rows, records, config_hash=chash)
-        write_trace_csv(cols, TraceColumns.from_records(records), config_hash=chash)
-        assert rows.read_bytes() == cols.read_bytes() == _csv_writer_bytes(records, chash)
+        path = Path(tmp) / "trace.csv"
+        write_trace_csv(path, _columns(rows), config_hash=chash)
+        assert path.read_bytes() == _csv_writer_bytes(rows, chash)

@@ -13,7 +13,7 @@ from gdakit.core import CapabilityError, DivergenceError, RngStream, row_dot
 from gdakit.diagnostics import (
     H_WEIGHTS,
     LYAPUNOV_C,
-    TraceRecord,
+    TraceColumns,
     h_metric,
     inner_ascent,
     lyapunov,
@@ -135,11 +135,11 @@ class _Recording:
         return out
 
 
-def _reference_records(problem, kind, plan, log, iters, diag):
-    """Per chain, the records of the logged steps in `log`, each computed
+def _reference_traces(problem, kind, plan, log, iters, diag):
+    """Per chain, the trace of the logged steps in `log`, each row computed
     point by point; stops before the first non-finite step."""
     s = log[0][0].shape[0]
-    records = [[] for _ in range(s)]
+    traces = [TraceColumns() for _ in range(s)]
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (x, y, branch) in enumerate(log, start=1):
             if not (np.isfinite(x).all() and np.isfinite(y).all()):
@@ -149,10 +149,10 @@ def _reference_records(problem, kind, plan, log, iters, diag):
             p = plan.p(k - 1) if kind.randomized else None
             for i in range(s):
                 met = _metrics(problem, JointPoint(x[i], y[i]), diag)
-                records[i].append(
-                    TraceRecord(k, branch[i], plan.alpha(k - 1), plan.eta(k - 1), p, **met)
-                )
-    return records
+                row = (k, branch[i], plan.alpha(k - 1), plan.eta(k - 1), p, *met.values())
+                for col, v in zip(traces[i].columns, row):
+                    col.append(v)
+    return traces
 
 
 def _hex(v):
@@ -160,12 +160,10 @@ def _hex(v):
     return v.hex() if isinstance(v, float) else v
 
 
-def _bits(records):
-    """Records as comparable tuples of exact bits."""
-    return [
-        (r.k, r.branch, *(_hex(getattr(r, key)) for key in ("alpha", "eta", "p", *_KEYS)))
-        for r in records
-    ]
+def _bits(trace):
+    """A trace's rows as comparable tuples of exact bits."""
+    floats = (map(_hex, trace[key]) for key in ("alpha", "eta", "p", *_KEYS))
+    return list(zip(trace["k"], trace["branch"], *floats))
 
 
 # -- problems -----------------------------------------------------------------
@@ -217,7 +215,7 @@ def _run_and_reference(
         prob, rec, plan, inits, iters, [RngStream(seed, 0) for seed in seeds], diag,
         waive_constraints=True,
     )
-    return results, _reference_records(prob, kind, plan, rec.log, iters, diag)
+    return results, _reference_traces(prob, kind, plan, rec.log, iters, diag)
 
 
 @pytest.mark.parametrize("block", [1, 7, 1024])
@@ -229,9 +227,9 @@ def test_stacked_records_equal_per_point_reference(problem_name, diag_name, bloc
     results, ref = _run_and_reference(prob, DIAGS[diag_name], [11, 5, 8], 23)
     for res, want in zip(results, ref):
         assert want  # the reference logged something to compare against
-        assert _bits(res.records) == _bits(want)
+        assert _bits(res.trace) == _bits(want)
     if problem_name == "bilinear":
-        assert all(r.h is None and r.v is None for res in results for r in res.records)
+        assert all(v is None for res in results for v in res.trace["h"] + res.trace["v"])
 
 
 @pytest.mark.parametrize("block", [1, 7, 1024])
@@ -241,7 +239,7 @@ def test_robust_regression_per_row_defaults_equal_reference(block, monkeypatch):
     results, ref = _run_and_reference(prob, DIAGS["interval1_all"], [2, 9, 4], 6)
     for res, want in zip(results, ref):
         assert len(want) == 6
-        assert _bits(res.records) == _bits(want)
+        assert _bits(res.trace) == _bits(want)
 
 
 @pytest.mark.parametrize("block", [1, 7])
@@ -255,8 +253,8 @@ def test_wgan_inner_ascent_metrics_equal_reference(block, inner_tol, monkeypatch
     )
     for res, want in zip(results, ref):
         assert len(want) == 2
-        assert all(r.h is not None and r.v is not None for r in res.records)
-        assert _bits(res.records) == _bits(want)
+        assert all(v is not None for v in res.trace["h"] + res.trace["v"])
+        assert _bits(res.trace) == _bits(want)
 
 
 @pytest.mark.parametrize("block", [1, 7, 1024])
@@ -267,7 +265,7 @@ def test_certified_inner_ascent_metrics_equal_reference(diag_name, block, monkey
     results, ref = _run_and_reference(prob, DIAGS[diag_name], [11, 5, 8], 9, scale=3.0)
     for res, want in zip(results, ref):
         assert want
-        assert _bits(res.records) == _bits(want)
+        assert _bits(res.trace) == _bits(want)
 
 
 def test_rows_do_not_depend_on_block_size(monkeypatch):
@@ -282,7 +280,7 @@ def test_rows_do_not_depend_on_block_size(monkeypatch):
             prob, SgdMax(delta=1e-4, inner_max_iters=5), constant_plan(0.02, 0.05, 0.3),
             inits, 17, [RngStream(seed, 0) for seed in seeds], diag,
         )
-        outs.append([(_bits(r.records), r.summary) for r in res])
+        outs.append([(_bits(r.trace), r.summary) for r in res])
     assert all(o == outs[0] for o in outs[1:])
 
 
@@ -301,11 +299,11 @@ def test_divergence_mid_block_carries_complete_partial_trace(block, monkeypatch)
     with pytest.raises(DivergenceError) as err:
         run_chains(prob, rec, plan, inits, 400, [RngStream(s, 0) for s in seeds], diag)
     exc = err.value
-    ref = _reference_records(prob, Sgda(), plan, rec.log, 400, diag)
+    ref = _reference_traces(prob, Sgda(), plan, rec.log, 400, diag)
     i = seeds.index(exc.seed)
     assert (exc.seed, exc.k) == (3, 91)
-    assert [r.k for r in exc.records] == list(range(10, 91, 10))
-    assert _bits(exc.records) == _bits(ref[i])
+    assert exc.trace["k"] == list(range(10, 91, 10))
+    assert _bits(exc.trace) == _bits(ref[i])
 
 
 def test_zero_iterations_summary_uses_stacked_metrics_of_initial_points():
@@ -318,7 +316,7 @@ def test_zero_iterations_summary_uses_stacked_metrics_of_initial_points():
         [RngStream(seed, 0) for seed in seeds], diag,
     )
     for init, res in zip(inits, results):
-        assert res.records == []
+        assert len(res.trace) == 0
         want = _metrics(prob, init, diag)
         got = {key: res.summary[f"final_{key}"] for key in _KEYS}
         assert {k: _hex(v) for k, v in got.items()} == {k: _hex(v) for k, v in want.items()}
@@ -421,10 +419,10 @@ def test_finite_iterate_with_overflowing_gradient_logs_inf(diag):
         warnings.simplefilter("error")
         res = run(prob, Rsgda(), plan, init, 1, RngStream(0, 0), diag, waive_constraints=True)
     assert np.isfinite(res.final.x).all() and np.isfinite(res.final.y).all()
-    (record,) = res.records
-    assert record.branch == "y"
-    assert record.grad_x_norm == math.inf
-    assert record.dist == math.inf
+    assert len(res.trace) == 1
+    assert res.trace["branch"] == ["y"]
+    assert res.trace["grad_x_norm"] == [math.inf]
+    assert res.trace["dist"] == [math.inf]
     if diag.h:
-        assert record.h == math.inf
+        assert res.trace["h"] == [math.inf]
     assert res.summary["final_grad_x_norm"] == math.inf
